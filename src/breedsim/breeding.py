@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
 
-import numpy as np
-
 from . import fieldmath as fm
 from . import symplectic as sp
-from .codes import ENUM_CAP, FeasibilityError, StabilizerCode
+from .codes import ENUM_CAP, StabilizerCode, min_weight_outside
 
 
 @dataclass(frozen=True)
@@ -64,27 +62,7 @@ def ebit_count(d: sp.SympSubspace) -> int:
 
 def eaqecc_distance(d: sp.SympSubspace, max_size: int = ENUM_CAP) -> Optional[int]:
     """Exhaustive min symplectic weight over D^perp_s \\ D; None if empty."""
-    p = d.p
-    dual = sp.symp_dual(d)
-    if all(d.contains(row) for row in dual.basis):
-        return None
-    if fm.span_size(dual.dim, p) > max_size:
-        raise FeasibilityError(
-            f"distance enumeration needs {p}^{dual.dim} vectors, over cap {max_size}"
-        )
-    basis, pivots = fm.rref(d.basis, p)
-    basis = basis[: len(pivots)]
-    best = None
-    for batch in fm.iter_span_batches(dual.basis, p):
-        w = sp.symp_weights(batch)
-        red = batch % p
-        for i, c in enumerate(pivots):
-            red = (red - red[:, c : c + 1] * basis[i]) % p
-        outside = np.any(red != 0, axis=1)
-        if np.any(outside):
-            m = int(w[outside].min())
-            best = m if best is None else min(best, m)
-    return best
+    return min_weight_outside(sp.symp_dual(d), d, max_size)[0]
 
 
 def convert_pure(code: StabilizerCode, punctured: Iterable[int]) -> BreedingProtocolSpec:

@@ -132,12 +132,6 @@ class ReportRow:
     dominant: bool = False
 
 
-def _guarantee_pairs(d: int) -> Tuple[Tuple[int, int], ...]:
-    return tuple(
-        (t, e) for e in range(d) for t in range((d - e - 1) // 2 + 1) if 2 * t + e < d
-    )
-
-
 def compare_report(
     entries: Sequence[CatalogEntry],
     noisy_pairs: Optional[int] = None,

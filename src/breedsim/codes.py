@@ -82,42 +82,19 @@ class StabilizerCode:
         r, pivots = fm.rref(self.stab.basis, self.p)
         return r[: len(pivots)], pivots
 
+    @cached_property
     def _distance_and_purity(self) -> Tuple[Optional[int], Optional[bool]]:
-        p = self.p
-        dual = self.dual
-        if dual.dim == self.stab.dim:  # C^perp_s = C: empty minimum
-            return None, None
-        if fm.span_size(dual.dim, p) > ENUM_CAP:
-            raise FeasibilityError(
-                f"distance computation needs {p}^{dual.dim} dual vectors, over cap {ENUM_CAP}"
-            )
-        basis, pivots = self._stab_pivots
-        best_outside = None
-        best_nonzero = None
-        for batch in fm.iter_span_batches(dual.basis, p):
-            w = sp.symp_weights(batch)
-            nonzero = w > 0
-            if np.any(nonzero):
-                m = int(w[nonzero].min())
-                best_nonzero = m if best_nonzero is None else min(best_nonzero, m)
-            red = batch % p
-            for i, c in enumerate(pivots):
-                red = (red - red[:, c : c + 1] * basis[i]) % p
-            outside = np.any(red != 0, axis=1)
-            if np.any(outside):
-                m = int(w[outside].min())
-                best_outside = m if best_outside is None else min(best_outside, m)
-        assert best_outside is not None
-        return best_outside, best_outside == best_nonzero
+        distance, min_nonzero = min_weight_outside(self.dual, self.stab)
+        return distance, None if distance is None else distance == min_nonzero
 
     @cached_property
     def distance(self) -> Optional[int]:
         """Minimum weight over C^perp_s \\ C, or None when that set is empty."""
-        return self._distance_and_purity()[0]
+        return self._distance_and_purity[0]
 
     @cached_property
     def is_pure(self) -> Optional[bool]:
-        return self._distance_and_purity()[1]
+        return self._distance_and_purity[1]
 
     def syndrome(self, err: np.ndarray) -> Tuple[int, ...]:
         err = np.asarray(err, dtype=np.int64) % self.p
@@ -151,7 +128,8 @@ class StabilizerCode:
             better = w[cand_idx] < best_w[uniq]
             table[uniq[better]] = batch[cand_idx[better]]
             best_w[uniq[better]] = w[cand_idx[better]]
-        assert bool((best_w <= 2 * n).all())
+        if np.any(best_w > 2 * n):
+            raise AssertionError("coset-leader table left a reachable syndrome without a leader")
         return table
 
     @cached_property
@@ -176,7 +154,7 @@ class StabilizerCode:
         erased = frozenset(int(i) for i in erased)
         if any(i < 0 or i >= n for i in erased):
             raise ValueError(f"erased positions out of range for n={n}")
-        if not erased and fm.span_size(2 * n, p) <= TABLE_CAP:
+        if not self.coset_size(erased):
             radix = self._syndrome_radix
             return self._decode_table[int(np.asarray(syndrome) @ radix)].copy()
         key = (erased, syndrome)
@@ -186,6 +164,34 @@ class StabilizerCode:
         leader = self._decode_by_coset(syndrome, erased)
         self._erasure_cache[key] = leader
         return leader.copy()
+
+    def coset_size(self, erased: Iterable[int] = ()) -> int:
+        """Vectors ``decode`` enumerates per syndrome for this erased set: 0 when
+        the syndrome table answers (no erasure, p^(2n) <= TABLE_CAP), else p^dim(dual)."""
+        if not erased and fm.span_size(2 * self.n, self.p) <= TABLE_CAP:
+            return 0
+        return fm.span_size(self.dual.dim, self.p)
+
+    def decode_batch(self, syndromes: np.ndarray, erased: FrozenSet[int] = frozenset()) -> np.ndarray:
+        """``decode`` of every syndrome row, calling ``decode`` once per distinct syndrome.
+
+        Refuses before decoding when the distinct syndromes times ``coset_size``
+        exceed ENUM_CAP.
+        """
+        syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.int64)) % self.p
+        if syndromes.shape[1] != self.stab.dim:
+            raise ValueError(f"syndrome must have length {self.stab.dim}")
+        # keys fit int64 whenever decode can answer: both of its paths cap p^dim(C) below 2^22
+        keys = syndromes @ self._syndrome_radix
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        work = len(first) * self.coset_size(erased)
+        if work > ENUM_CAP:
+            raise FeasibilityError(
+                f"decoding {len(first)} syndromes enumerates {work} coset vectors, "
+                f"over cap {ENUM_CAP}"
+            )
+        leaders = np.array([self.decode(syndromes[i], erased) for i in first], dtype=np.int64)
+        return leaders.reshape(len(first), 2 * self.n)[inverse.reshape(-1)]
 
     def _decode_by_coset(self, syndrome, erased) -> np.ndarray:
         p, n = self.p, self.n
@@ -206,20 +212,52 @@ class StabilizerCode:
                 if best_key is None or key < best_key:
                     best_key = key
                     best = cand[idx]
-        assert best is not None
+        if best is None:
+            raise AssertionError("coset enumeration produced no candidate")
         return best
+
+    def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical C-coset representative of each row (the zero row for rows in C)."""
+        basis, pivots = self._stab_pivots
+        return fm.reduce_rows(basis, pivots, rows, self.p)
 
     def logical_class(self, residual: np.ndarray) -> LogicalClass:
         """Canonical C-coset label; non-correctable if residual is outside C^perp_s."""
         residual = np.asarray(residual, dtype=np.int64) % self.p
         if np.any(self._syndrome_matrix @ residual % self.p):
             return NON_CORRECTABLE
-        basis, pivots = self._stab_pivots
-        rep = fm.reduce_vector(basis, pivots, residual, self.p)
+        rep = self.coset_representatives(residual[None, :])[0]
         return LogicalClass(tuple(int(x) for x in rep))
 
     def __repr__(self):
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
+
+
+def min_weight_outside(
+    outer: sp.SympSubspace, inner: sp.SympSubspace, cap: int = ENUM_CAP
+) -> Tuple[Optional[int], Optional[int]]:
+    """(min weight over span(outer) \\ span(inner), min nonzero weight over span(outer)).
+
+    Both are None when span(outer) lies inside span(inner); otherwise the
+    p^dim(outer) vectors of span(outer) are enumerated, refused above cap.
+    """
+    p = outer.p
+    r, pivots = fm.rref(inner.basis, p)
+    basis = r[: len(pivots)]
+    if not np.any(fm.reduce_rows(basis, pivots, outer.basis, p)):
+        return None, None
+    if fm.span_size(outer.dim, p) > cap:
+        raise FeasibilityError(
+            f"minimum-weight enumeration needs {p}^{outer.dim} vectors, over cap {cap}"
+        )
+    # a basis row of outer lies outside inner, so both minima end below this start
+    best_outside = best_nonzero = 2 * outer.n + 1
+    for batch in fm.iter_span_batches(outer.basis, p):
+        w = sp.symp_weights(batch)
+        outside = np.any(fm.reduce_rows(basis, pivots, batch, p), axis=1)
+        best_outside = int(w[outside].min(initial=best_outside))
+        best_nonzero = int(w[w > 0].min(initial=best_nonzero))
+    return best_outside, best_nonzero
 
 
 def make_code(p: int, n: int, generators: Iterable[np.ndarray]) -> StabilizerCode:

@@ -4,6 +4,10 @@ Only the relative error between Alice's and Bob's halves is physical for
 Bell-diagonal states, so a trial is: sample an error on the noisy pairs,
 compute the combined syndrome against the extended code, decode (with
 erasure knowledge), and ask whether the residual lies in the stabilizer.
+
+``run_protocol`` is the one kernel for that step. It takes one error vector
+or a batch of rows sharing an erased set; guarantee verification, Monte Carlo
+simulation and the exact oracle all run their rows through it.
 """
 
 from __future__ import annotations
@@ -11,14 +15,14 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from . import symplectic as sp
 from .breeding import BreedingProtocolSpec
-from .codes import FeasibilityError, LogicalClass
+from .codes import ENUM_CAP, FeasibilityError, LogicalClass
 
 #: trials per deterministic chunk; fixed so worker count cannot change results
 CHUNK = 10_000
@@ -26,7 +30,7 @@ CHUNK = 10_000
 
 @dataclass(frozen=True)
 class ErrorPattern:
-    """A symplectic error on the extended positions plus the erased set."""
+    """A symplectic error (one 2n-vector, or a batch of rows) plus the erased set."""
 
     error: np.ndarray
     erased: FrozenSet[int] = frozenset()
@@ -81,12 +85,13 @@ class PostSelect:
             return cls("weight", int(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse post-selection policy {text!r}")
 
-    def discards(self, syndrome_nonzero: bool, decoded_weight: int) -> bool:
+    def discards(self, syndromes: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+        """Per-row discard flags for syndrome rows and their decoded error rows."""
         if self.mode == "nonzero":
-            return syndrome_nonzero
+            return np.any(syndromes, axis=1)
         if self.mode == "weight":
-            return decoded_weight > self.threshold
-        return False
+            return sp.symp_weights(decoded) > self.threshold
+        return np.zeros(len(syndromes), dtype=bool)
 
 
 KEEP_ALL = PostSelect("none")
@@ -94,6 +99,9 @@ KEEP_ALL = PostSelect("none")
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """Result of ``run_protocol``; for a batch every field is an array over rows
+    and ``logical`` holds each residual's canonical C-coset representative."""
+
     combined_syndrome: Tuple[int, ...]
     decoded: np.ndarray
     logical: LogicalClass
@@ -145,10 +153,10 @@ def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> None:
     code = spec.extended_code
     n = code.n
     err = pattern.error
-    if err.shape != (2 * n,):
+    if err.ndim not in (1, 2) or err.shape[-1] != 2 * n:
         raise ValueError(f"error vector must have length {2 * n}")
     for i in spec.ebit_positions:
-        if err[i] or err[n + i]:
+        if np.any(err[..., i]) or np.any(err[..., n + i]):
             raise ValueError(f"preshared pair at position {i} cannot carry an error")
         if i in pattern.erased:
             raise ValueError(f"preshared pair at position {i} cannot be erased")
@@ -161,21 +169,44 @@ def run_protocol(
     pattern: ErrorPattern,
     postselect: PostSelect = KEEP_ALL,
 ) -> ProtocolOutcome:
-    """One protocol execution against a fixed error pattern."""
+    """Protocol execution against one error vector or a batch of error rows."""
     _check_pattern(spec, pattern)
     code = spec.extended_code
-    err = pattern.error % code.p
-    syn = code.syndrome(err)
-    decoded = code.decode(syn, pattern.erased)
-    residual = (err - decoded) % code.p
-    logical = code.logical_class(residual)
-    success = logical.is_identity
-    discarded = postselect.discards(any(syn), int(sp.symp_weight(decoded)))
-    return ProtocolOutcome(syn, decoded, logical, success, discarded)
+    errors = np.atleast_2d(pattern.error) % code.p
+    syn = code.syndromes_batch(errors)
+    decoded = code.decode_batch(syn, pattern.erased)
+    # decoded has the syndrome of errors, so every residual lies in C^perp_s
+    logical = code.coset_representatives(errors - decoded)
+    success = ~np.any(logical, axis=1)
+    discarded = postselect.discards(syn, decoded)
+    if pattern.error.ndim == 2:
+        return ProtocolOutcome(syn, decoded, logical, success, discarded)
+    return ProtocolOutcome(
+        tuple(int(x) for x in syn[0]),
+        decoded[0],
+        LogicalClass(tuple(int(x) for x in logical[0])),
+        bool(success[0]),
+        bool(discarded[0]),
+    )
 
 
-def _nonzero_symplectic_values(p: int):
-    return [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+def _pattern_rows(n_total: int, erased: tuple, rest: list, t: int, values: list) -> np.ndarray:
+    """Errors with nonzero content on every erased pair and on t pairs of rest.
+
+    Rows follow the error positions in combination order, then the content
+    in product order over ``values``.
+    """
+    size = len(erased) + t
+    content = np.asarray(list(itertools.product(values, repeat=size)), dtype=np.int64)
+    content = content.reshape(len(values) ** size, size, 2)
+    blocks = []
+    for err_pos in itertools.combinations(rest, t):
+        support = np.asarray(erased + err_pos, dtype=np.int64)
+        block = np.zeros((len(content), 2 * n_total), dtype=np.int64)
+        block[:, support] = content[:, :, 0]
+        block[:, n_total + support] = content[:, :, 1]
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
 def verify_guarantee(
@@ -185,75 +216,42 @@ def verify_guarantee(
 
     Enumerates every erased subset of noisy positions of size e with every
     nonzero content on the erased pairs, times every weight-t error on the
-    remaining noisy positions.
+    remaining noisy positions. Refuses before enumerating when the pattern
+    count exceeds max_patterns, or when the patterns times the coset each one
+    decodes by (``StabilizerCode.coset_size``) exceed ENUM_CAP.
     """
     d = spec.params.d
     if d is None:
         raise FeasibilityError("protocol distance is undefined; nothing to guarantee")
-    p = spec.extended_code.p
-    n_total = spec.extended_code.n
+    code = spec.extended_code
     noisy = spec.noisy_positions
-    values = _nonzero_symplectic_values(p)
+    values = [(a, b) for a in range(code.p) for b in range(code.p) if (a, b) != (0, 0)]
     v = len(values)
-
-    def case_count(t: int, e: int) -> int:
-        from math import comb
-
-        return comb(len(noisy), e) * v**e * comb(len(noisy) - e, t) * v**t
-
-    total = sum(
-        case_count(t, e)
-        for e in range(d)
-        for t in range((d - e - 1) // 2 + 1)
-        if 2 * t + e < d
-    )
+    pairs = [(t, e) for e in range(d) for t in range((d - e - 1) // 2 + 1)]
+    counts = [comb(len(noisy), e) * v**e * comb(len(noisy) - e, t) * v**t for t, e in pairs]
+    total = sum(counts)
     if total > max_patterns:
         raise FeasibilityError(
             f"guarantee verification needs {total} patterns, over cap {max_patterns}"
         )
+    work = sum(c * code.coset_size(noisy[:e]) for (t, e), c in zip(pairs, counts))
+    if work > ENUM_CAP:
+        raise FeasibilityError(
+            f"guarantee verification enumerates {work} coset vectors, over cap {ENUM_CAP}"
+        )
 
     patterns = 0
-    for e in range(d):
-        for t in range((d - e - 1) // 2 + 1):
-            for erased in itertools.combinations(noisy, e):
-                rest = [i for i in noisy if i not in erased]
-                for err_pos in itertools.combinations(rest, t):
-                    support = list(erased) + list(err_pos)
-                    for content in itertools.product(values, repeat=len(support)):
-                        err = np.zeros(2 * n_total, dtype=np.int64)
-                        for pos, (a, b) in zip(support, content):
-                            err[pos] = a
-                            err[n_total + pos] = b
-                        pattern = ErrorPattern(err, frozenset(erased))
-                        patterns += 1
-                        outcome = run_protocol(spec, pattern)
-                        if not outcome.success:
-                            return GuaranteeCertificate(False, patterns, d, pattern)
+    for t, e in pairs:
+        for erased in itertools.combinations(noisy, e):
+            rest = [i for i in noisy if i not in erased]
+            rows = _pattern_rows(code.n, erased, rest, t, values)
+            failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, erased)).success)
+            if len(failed):
+                first = int(failed[0])
+                counterexample = ErrorPattern(rows[first].copy(), erased)
+                return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
+            patterns += len(rows)
     return GuaranteeCertificate(True, patterns, d)
-
-
-def _batch_success(
-    spec: BreedingProtocolSpec, errors: np.ndarray, postselect: PostSelect
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized (success, discarded) over a batch of no-erasure error rows."""
-    code = spec.extended_code
-    p = code.p
-    syn = code.syndromes_batch(errors)
-    syn_idx = syn @ code._syndrome_radix
-    decoded = code.decode_table()[syn_idx]
-    residual = (errors - decoded) % p
-    basis, pivots = code._stab_pivots
-    rep = residual
-    for i, c in enumerate(pivots):
-        rep = (rep - rep[:, c : c + 1] * basis[i]) % p
-    success = ~np.any(rep != 0, axis=1)
-    if postselect.mode == "nonzero":
-        discarded = syn_idx != 0
-    elif postselect.mode == "weight":
-        discarded = sp.symp_weights(decoded) > postselect.threshold
-    else:
-        discarded = np.zeros(len(errors), dtype=bool)
-    return success, discarded
 
 
 def _sample_chunk(
@@ -300,19 +298,16 @@ def _sample_chunk(
 def _simulate_chunk(args) -> Tuple[int, int]:
     spec, channel, seed, start, stop, postselect = args
     errors, erased = _sample_chunk(spec, channel, seed, start, stop)
-    if channel.erasure == 0.0:
-        success, discarded = _batch_success(spec, errors, postselect)
-        kept_success = success & ~discarded
-        return int(kept_success.sum()), int(discarded.sum())
-    noisy = spec.noisy_positions
+    noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
+    # one kernel call per distinct erasure mask, grouped by the mask read as an integer
+    keys = erased @ (1 << np.arange(len(noisy), dtype=np.int64))
     successes = discards = 0
-    for row in range(len(errors)):
-        erased_set = frozenset(noisy[j] for j in np.flatnonzero(erased[row]))
-        outcome = run_protocol(spec, ErrorPattern(errors[row], erased_set), postselect)
-        if outcome.discarded:
-            discards += 1
-        elif outcome.success:
-            successes += 1
+    for key in np.unique(keys):
+        group = keys == key
+        erased_set = frozenset(noisy[erased[np.argmax(group)]].tolist())
+        outcome = run_protocol(spec, ErrorPattern(errors[group], erased_set), postselect)
+        successes += int(np.sum(outcome.success & ~outcome.discarded))
+        discards += int(np.sum(outcome.discarded))
     return successes, discards
 
 
@@ -382,32 +377,22 @@ def exact_fidelity(
     errors[:, n_total + pos] = digits % p
     depol_prob = np.where(digits == 0, 1.0 - rate, rate / (q - 1) if q > 1 else 0.0)
 
-    if channel.erasure == 0.0:
-        prob = depol_prob.prod(axis=1)
-        success, discarded = _batch_success(spec, errors, postselect)
-        accept = ~discarded
-        acceptance = float(prob[accept].sum())
-        good = float(prob[success & accept].sum())
-        if postselect.mode == "none":
-            return ExactFidelity(good)
-        return ExactFidelity(good / acceptance if acceptance else 0.0, acceptance)
-
     er = channel.erasure
     total_good = 0.0
     total_accept = 0.0
     for e in range(m + 1):
+        subset_prob = er**e * (1.0 - er) ** (m - e)
+        if subset_prob == 0.0:
+            continue
         for erased_local in itertools.combinations(range(m), e):
-            subset_prob = er**e * (1.0 - er) ** (m - e)
             mask = np.ones(m, dtype=bool)
             mask[list(erased_local)] = False
             prob = depol_prob[:, mask].prod(axis=1) * (1.0 / q) ** e * subset_prob
             erased_set = frozenset(noisy[j] for j in erased_local)
-            for row in range(len(errors)):
-                outcome = run_protocol(spec, ErrorPattern(errors[row], erased_set), postselect)
-                if not outcome.discarded:
-                    total_accept += prob[row]
-                    if outcome.success:
-                        total_good += prob[row]
+            outcome = run_protocol(spec, ErrorPattern(errors, erased_set), postselect)
+            accept = ~outcome.discarded
+            total_accept += float(prob[accept].sum())
+            total_good += float(prob[outcome.success & accept].sum())
     if postselect.mode == "none":
         return ExactFidelity(total_good)
     return ExactFidelity(total_good / total_accept if total_accept else 0.0, total_accept)

@@ -105,14 +105,17 @@ def kernel(m: np.ndarray, p: int) -> np.ndarray:
     return row_basis(basis, p)
 
 
+def reduce_rows(basis: np.ndarray, pivots: List[int], rows: np.ndarray, p: int) -> np.ndarray:
+    """Reduce each row against an RREF basis; row i becomes its canonical coset representative."""
+    out = np.asarray(rows, dtype=np.int64) % p
+    for i, c in enumerate(pivots):
+        out = (out - out[:, c : c + 1] * basis[i]) % p
+    return out
+
+
 def reduce_vector(basis: np.ndarray, pivots: List[int], v: np.ndarray, p: int) -> np.ndarray:
     """Reduce v against an RREF basis; result is the canonical coset representative."""
-    w = np.asarray(v, dtype=np.int64) % p
-    w = w.copy()
-    for i, c in enumerate(pivots):
-        if w[c] != 0:
-            w = (w - w[c] * basis[i]) % p
-    return w
+    return reduce_rows(basis, pivots, np.asarray(v)[None, :], p)[0]
 
 
 def in_row_space(basis: np.ndarray, v: np.ndarray, p: int) -> bool:

@@ -117,12 +117,6 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
         idx = np.flatnonzero(mask)
         return idx if order == "asc" else idx[::-1]
 
-    def reduce_rows(rows: np.ndarray, chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
-        out = rows % p
-        for i, c in enumerate(pivots):
-            out = (out - out[:, c : c + 1] * chosen[i]) % p
-        return out
-
     def validate(rows: List[np.ndarray]) -> Optional[StabilizerCode]:
         code = StabilizerCode(p, n, rows)
         if code.distance is None or code.distance < q.d_min:
@@ -149,7 +143,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
             if len(sel) == 0:
                 ok = np.ones(len(cands), dtype=bool)
             else:
-                sel_red = reduce_rows(sel, chosen, pivots)
+                sel_red = fm.reduce_rows(chosen, pivots, sel, p)
                 prod = sp.pairwise_products(sel_red, cands, p)
                 multiple = np.zeros((len(sel), len(cands)), dtype=bool)
                 for alpha in range(1, p):

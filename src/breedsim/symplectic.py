@@ -217,7 +217,6 @@ def symp_extend(d: SympSubspace) -> Tuple[SympSubspace, int]:
         we[:n], we[nn : nn + n] = w[:n], w[n:]
         rows.append(we)
     ext = SympSubspace.from_rows(p, nn, rows)
-    assert ext.dim == d.dim
-    assert is_self_orthogonal(ext)
-    assert puncture(ext, range(n, nn)) == d
+    if ext.dim != d.dim or not is_self_orthogonal(ext) or puncture(ext, range(n, nn)) != d:
+        raise AssertionError("symplectic extension is not a self-orthogonal lift of D")
     return ext, c

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from breedsim import symplectic as sp
-from breedsim.breeding import convert_pure
+from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
 from breedsim.codes import FeasibilityError, make_code
 from breedsim.engine import (
     Channel,
@@ -24,6 +26,21 @@ def v(text, p=2):
 def breeding_spec():
     code = make_code(2, 6, [v("111111|000000"), v("000000|111111")])
     return convert_pure(code, {5})
+
+
+@pytest.fixture(scope="module")
+def five_qubit_x3():
+    """Three disjoint copies of the five-qubit code: [[15,3,3]], too large for a syndrome table."""
+    block = ["10010|01100", "01001|00110", "10100|00011", "01010|10001"]
+    rows = []
+    for copy in range(3):
+        for g in block:
+            vec = v(g)
+            row = np.zeros(30, dtype=np.int64)
+            row[5 * copy : 5 * copy + 5] = vec[:5]
+            row[15 + 5 * copy : 15 + 5 * copy + 5] = vec[5:]
+            rows.append(row)
+    return make_code(2, 15, rows)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +107,37 @@ class TestVerifyGuarantee:
         with pytest.raises(FeasibilityError):
             verify_guarantee(hashing_spec, max_patterns=10)
 
+    @pytest.mark.parametrize(
+        "p, generators, ebits, claimed, patterns, error, erased",
+        [
+            # values recorded from the per-pattern enumeration this kernel replaced
+            (2, ["10010|01100", "01001|00110", "10100|00011", "01010|10001"], (), 4,
+             33, "01000|10000", [0]),
+            (2, ["10010|01100", "01001|00110", "10100|00011", "01010|10001"], (4,), 4,
+             27, "01000|10000", [0]),
+            (3, ["10020|01200", "01002|00120", "20100|00012", "02010|20001"], (4,), 4,
+             68, "01000|10000", [0]),
+            (2, ["111111|000000", "000000|111111"], (5,), 3, 2, "000000|100000", []),
+        ],
+    )
+    def test_overstated_distance_counterexample(
+        self, p, generators, ebits, claimed, patterns, error, erased
+    ):
+        code = make_code(p, len(generators[0]) // 2, [v(g, p) for g in generators])
+        params = EaqeccParams(p=p, n=code.n - len(ebits), gross_k=code.k, c=len(ebits), d=claimed)
+        cert = verify_guarantee(BreedingProtocolSpec(code, frozenset(ebits), params))
+        assert not cert.passed
+        assert cert.patterns == patterns
+        assert sp.to_string(cert.counterexample.error) == error
+        assert sorted(cert.counterexample.erased) == erased
+
+    def test_coset_work_over_cap_refused(self, five_qubit_x3):
+        # punctured at 15: 904 patterns, none fits a syndrome table
+        # (2^30 > TABLE_CAP), each coset has 2^18 vectors
+        params = EaqeccParams(p=2, n=14, gross_k=3, c=1, d=3)
+        with pytest.raises(FeasibilityError, match="coset"):
+            verify_guarantee(BreedingProtocolSpec(five_qubit_x3, frozenset({14}), params))
+
     def test_all_catalog_conversions(self):
         from breedsim.catalog import builtin_catalog
 
@@ -135,6 +183,13 @@ class TestSimulate:
         plain = simulate(breeding_spec, Channel(2, 0.3), 4000, seed=0)
         assert report.fidelity_estimate >= plain.fidelity_estimate
 
+    def test_coset_work_over_cap_refused(self, five_qubit_x3):
+        # without a syndrome table each distinct syndrome costs a 2^18-vector coset
+        params = EaqeccParams(p=2, n=15, gross_k=3, c=0, d=3)
+        spec = BreedingProtocolSpec(five_qubit_x3, frozenset(), params)
+        with pytest.raises(FeasibilityError, match="coset"):
+            simulate(spec, Channel(2, 0.1), 200, seed=0)
+
     def test_erasure_channel_runs(self, breeding_spec):
         report = simulate(breeding_spec, Channel(2, 0.0, erasure=0.2), 400, seed=5)
         # single erasures are always corrected (d = 2); with >= 2 erasures the
@@ -175,6 +230,48 @@ class TestExactFidelity:
     def test_fixed_channel(self, breeding_spec):
         ch = FixedChannel(ErrorPattern(np.zeros(12, dtype=np.int64)))
         assert exact_fidelity(breeding_spec, ch).fidelity == 1.0
+
+    def test_erasure_agrees_with_simulation_qutrit(self):
+        code = make_code(
+            3, 5, [v(g, 3) for g in ("10020|01200", "01002|00120", "20100|00012", "02010|20001")]
+        )
+        spec = convert_pure(code, {4})
+        ch = Channel(3, 0.05, erasure=0.1)
+        exact = exact_fidelity(spec, ch).fidelity
+        report = simulate(spec, ch, 4000, seed=13)
+        sigma = np.sqrt(exact * (1 - exact) / report.trials)
+        assert abs(report.fidelity_estimate - exact) < 4 * sigma
+
+    @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:0"])
+    def test_erasure_sum_matches_per_row_reference(self, policy):
+        code = make_code(2, 4, [v("1111|0000"), v("0000|1111")])
+        spec = convert_pure(code, {3})
+        post = PostSelect.parse(policy)
+        rate, er, m = 0.15, 0.2, 3
+        good = accept = 0.0
+        for values in itertools.product(range(4), repeat=m):
+            err = np.zeros(8, dtype=np.int64)
+            for pos, val in enumerate(values):
+                err[pos], err[4 + pos] = divmod(val, 2)
+            for erased in itertools.product((False, True), repeat=m):
+                prob = 1.0
+                for val, gone in zip(values, erased):
+                    prob *= er / 4 if gone else (1 - er) * (rate / 3 if val else 1 - rate)
+                erased_set = frozenset(i for i in range(m) if erased[i])
+                syn = code.syndrome(err)
+                decoded = code.decode(syn, erased_set)
+                weight = sp.symp_weight(decoded)
+                if {"none": False, "nonzero": any(syn), "weight": weight > 0}[post.mode]:
+                    continue
+                accept += prob
+                if code.logical_class((err - decoded) % 2).is_identity:
+                    good += prob
+        res = exact_fidelity(spec, Channel(2, rate, erasure=er), postselect=post)
+        # the kernel sums probabilities in another order than this loop
+        want = good if post.mode == "none" else good / accept
+        assert abs(res.fidelity - want) < 1e-12
+        if post.mode != "none":
+            assert abs(res.acceptance - accept) < 1e-12
 
 
 def test_postselect_parsing():
