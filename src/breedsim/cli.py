@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import catalog as cat
 from . import engine
@@ -45,16 +45,44 @@ def _load_code(ref: str) -> cat.CatalogEntry:
     return entries[0]
 
 
-def _parse_puncture(text: Optional[str], n: int) -> frozenset:
-    if not text:
-        return frozenset()
-    positions = set()
-    for tok in text.split(","):
-        i = int(tok)
+def _positions(text: str) -> Tuple[int, ...]:
+    """argparse type for --puncture: comma-separated 1-based positions."""
+    try:
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed position list {text!r}") from None
+
+
+def _rates(text: str) -> Tuple[float, ...]:
+    """argparse type for --rates: comma-separated floats (their range is checked later)."""
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed rate list {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _postselect(text: str) -> engine.PostSelect:
+    try:
+        return engine.PostSelect.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _puncture_set(positions: Tuple[int, ...], n: int) -> frozenset:
+    for i in positions:
         if i < 1 or i > n:
             raise ValueError(f"puncture position {i} out of range 1..{n}")
-        positions.add(i - 1)
-    return frozenset(positions)
+    return frozenset(i - 1 for i in positions)
 
 
 def _emit(records: List[Dict], fmt: str, out) -> None:
@@ -90,7 +118,7 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_convert(args, out) -> int:
     entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _parse_puncture(args.puncture, entry.code.n))
+    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
     params = spec.params
     rec = {
         "name": entry.name,
@@ -107,7 +135,7 @@ def cmd_convert(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _parse_puncture(args.puncture, entry.code.n))
+    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
     cert = engine.verify_guarantee(spec, max_patterns=args.budget)
     rec = {
         "name": entry.name,
@@ -129,14 +157,17 @@ def cmd_verify(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _parse_puncture(args.puncture, entry.code.n))
-    postselect = engine.PostSelect.parse(args.postselect)
-    rates = [float(r) for r in args.rates.split(",")]
+    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
     records = []
-    for rate in rates:
+    for rate in args.rates:
         channel = engine.Channel(entry.code.p, rate)
         report = engine.simulate(
-            spec, channel, args.trials, seed=args.seed, postselect=postselect, workers=args.workers
+            spec,
+            channel,
+            args.trials,
+            seed=args.seed,
+            postselect=args.postselect,
+            workers=args.workers,
         )
         records.append(
             {
@@ -216,24 +247,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="build a breeding protocol by puncturing a pure code")
     p.add_argument("--code", required=True)
-    p.add_argument("--puncture", default="", help="comma-separated 1-based positions")
+    p.add_argument(
+        "--puncture", type=_positions, default="", help="comma-separated 1-based positions"
+    )
     add_common(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("verify", help="exhaustively verify the 2t+e<d guarantee")
     p.add_argument("--code", required=True)
-    p.add_argument("--puncture", default="")
+    p.add_argument("--puncture", type=_positions, default="")
     p.add_argument("--budget", type=int, default=1_000_000)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo fidelity over a depolarizing rate grid")
     p.add_argument("--code", required=True)
-    p.add_argument("--puncture", default="")
-    p.add_argument("--rates", required=True, help="comma-separated depolarizing rates")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--puncture", type=_positions, default="")
+    p.add_argument("--rates", type=_rates, required=True, help="comma-separated depolarizing rates")
+    p.add_argument("--trials", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--postselect", default="none", help="none | nonzero | weight:<t>")
+    p.add_argument(
+        "--postselect", type=_postselect, default="none", help="none | nonzero | weight:<t>"
+    )
     p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_simulate)

@@ -173,18 +173,23 @@ class StabilizerCode:
         return fm.span_size(self.dual.dim, self.p)
 
     def decode_batch(self, syndromes: np.ndarray, erased: FrozenSet[int] = frozenset()) -> np.ndarray:
-        """``decode`` of every syndrome row, calling ``decode`` once per distinct syndrome.
+        """``decode`` of every syndrome row.
 
-        Refuses before decoding when the distinct syndromes times ``coset_size``
-        exceed ENUM_CAP.
+        On the table path (``coset_size`` 0) one index into the leader table
+        answers every row; otherwise ``decode`` runs once per distinct syndrome,
+        and the batch is refused before decoding when the distinct syndromes
+        times ``coset_size`` exceed ENUM_CAP.
         """
         syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.int64)) % self.p
         if syndromes.shape[1] != self.stab.dim:
             raise ValueError(f"syndrome must have length {self.stab.dim}")
         # keys fit int64 whenever decode can answer: both of its paths cap p^dim(C) below 2^22
         keys = syndromes @ self._syndrome_radix
+        size = self.coset_size(erased)
+        if not size:
+            return self._decode_table[keys]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        work = len(first) * self.coset_size(erased)
+        work = len(first) * size
         if work > ENUM_CAP:
             raise FeasibilityError(
                 f"decoding {len(first)} syndromes enumerates {work} coset vectors, "

@@ -217,8 +217,9 @@ def verify_guarantee(
     Enumerates every erased subset of noisy positions of size e with every
     nonzero content on the erased pairs, times every weight-t error on the
     remaining noisy positions. Refuses before enumerating when the pattern
-    count exceeds max_patterns, or when the patterns times the coset each one
-    decodes by (``StabilizerCode.coset_size``) exceed ENUM_CAP.
+    count exceeds max_patterns, or when the coset vectors the decode cache
+    would enumerate exceed ENUM_CAP: per erased set, its distinct syndromes
+    (at most min(rows, p^dim C)) times ``StabilizerCode.coset_size``.
     """
     d = spec.params.d
     if d is None:
@@ -227,14 +228,24 @@ def verify_guarantee(
     noisy = spec.noisy_positions
     values = [(a, b) for a in range(code.p) for b in range(code.p) if (a, b) != (0, 0)]
     v = len(values)
+    m = len(noisy)
     pairs = [(t, e) for e in range(d) for t in range((d - e - 1) // 2 + 1)]
-    counts = [comb(len(noisy), e) * v**e * comb(len(noisy) - e, t) * v**t for t, e in pairs]
-    total = sum(counts)
+    # rows of one erased set of size e, summed over every t with 2t + e < d
+    set_rows = [
+        v**e * sum(comb(m - e, t) * v**t for t in range((d - e - 1) // 2 + 1)) for e in range(d)
+    ]
+    total = sum(comb(m, e) * rows for e, rows in enumerate(set_rows))
     if total > max_patterns:
         raise FeasibilityError(
             f"guarantee verification needs {total} patterns, over cap {max_patterns}"
         )
-    work = sum(c * code.coset_size(noisy[:e]) for (t, e), c in zip(pairs, counts))
+    # decode caches by (erased set, syndrome): an erased set costs one coset per
+    # distinct syndrome among its rows, and there are at most p^dim(C) of those
+    syndromes = code.p**code.stab.dim
+    work = sum(
+        comb(m, e) * min(rows, syndromes) * code.coset_size(noisy[:e])
+        for e, rows in enumerate(set_rows)
+    )
     if work > ENUM_CAP:
         raise FeasibilityError(
             f"guarantee verification enumerates {work} coset vectors, over cap {ENUM_CAP}"
@@ -261,34 +272,41 @@ def _sample_chunk(
     start: int,
     stop: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample error rows (and erasure masks) for trials [start, stop).
+    """Sample error rows (and erasure masks) for trials [start, stop) of one chunk.
 
-    Trial i draws from np.random.default_rng((seed, i)), so the partition of
-    trials into chunks and workers cannot affect the sample.
+    ``start`` is a multiple of CHUNK and the range lies inside that chunk. The
+    chunk draws all of its randomness from np.random.default_rng((seed,
+    start // CHUNK)) as one row-major array of uniforms, m per trial (2m with
+    erasure), and trial start + i reads only row i. So the partition of
+    trials into workers cannot affect the sample, and a shorter run's rows
+    are a prefix of a longer run's.
+
+    A uniform u below the depolarizing rate gives the nontrivial value
+    1 + floor(u / rate * (q - 1)), q = p^2, since u / rate is uniform on [0, 1)
+    given u < rate; an erasure uniform v below the erasure rate flags the pair
+    and gives it the value floor(v / erasure * q). No bounded-integer draw is
+    used: those consume a variable number of bits and would break the prefix.
     """
+    if start % CHUNK or not start <= stop <= start + CHUNK:
+        raise ValueError(f"trials [{start}, {stop}) do not lie inside one chunk of {CHUNK}")
     p = channel.p
+    q = p * p
     n_total = spec.extended_code.n
     noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
     m = len(noisy)
     count = stop - start
-    u_err = np.empty((count, m))
-    val_nz = np.empty((count, m), dtype=np.int64)
-    with_erasure = channel.erasure > 0.0
-    if with_erasure:
-        u_er = np.empty((count, m))
-        val_any = np.empty((count, m), dtype=np.int64)
-    for row, trial in enumerate(range(start, stop)):
-        rng = np.random.default_rng((seed, trial))
-        u_err[row] = rng.random(m)
-        val_nz[row] = rng.integers(1, p * p, size=m)
-        if with_erasure:
-            u_er[row] = rng.random(m)
-            val_any[row] = rng.integers(0, p * p, size=m)
-    values = np.where(u_err < channel.depolarizing, val_nz, 0)
+    rate, er = channel.depolarizing, channel.erasure
+    rng = np.random.default_rng((seed, start // CHUNK))
+    uniforms = rng.random((count, 2 * m if er > 0.0 else m))
+    u = uniforms[:, :m]
+    hit = u < rate
+    values = np.zeros((count, m), dtype=np.int64)
+    values[hit] = 1 + np.minimum((u[hit] / rate * (q - 1)).astype(np.int64), q - 2)
     erased = np.zeros((count, m), dtype=bool)
-    if with_erasure:
-        erased = u_er < channel.erasure
-        values = np.where(erased, val_any, values)
+    if er > 0.0:
+        v = uniforms[:, m:]
+        erased = v < er
+        values[erased] = np.minimum((v[erased] / er * q).astype(np.int64), q - 1)
     errors = np.zeros((count, 2 * n_total), dtype=np.int64)
     errors[:, noisy] = values // p
     errors[:, n_total + noisy] = values % p
@@ -353,7 +371,12 @@ def exact_fidelity(
     postselect: PostSelect = KEEP_ALL,
     max_terms: int = 1 << 22,
 ) -> ExactFidelity:
-    """Exact success probability by summing the channel over all error vectors."""
+    """Exact success probability by summing the channel over all error vectors.
+
+    Sums q^m error rows (q = p^2, m noisy pairs) for every erased subset of
+    nonzero probability (2^m of them when 0 < erasure < 1, else one), and
+    refuses before the first kernel call when that exceeds max_terms.
+    """
     if isinstance(channel, FixedChannel):
         outcome = run_protocol(spec, channel.pattern, postselect)
         if outcome.discarded:
@@ -364,8 +387,12 @@ def exact_fidelity(
     noisy = list(spec.noisy_positions)
     m = len(noisy)
     q = p * p
-    if q**m > max_terms:
-        raise FeasibilityError(f"exact sum needs {q}^{m} terms, over cap {max_terms}")
+    er = channel.erasure
+    subsets = 2**m if 0.0 < er < 1.0 else 1
+    if q**m * subsets > max_terms:
+        raise FeasibilityError(
+            f"exact sum needs {q}^{m} terms times {subsets} erased subsets, over cap {max_terms}"
+        )
     rate = channel.depolarizing
     idx = np.arange(q**m, dtype=np.int64)
     radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -377,7 +404,6 @@ def exact_fidelity(
     errors[:, n_total + pos] = digits % p
     depol_prob = np.where(digits == 0, 1.0 - rate, rate / (q - 1) if q > 1 else 0.0)
 
-    er = channel.erasure
     total_good = 0.0
     total_accept = 0.0
     for e in range(m + 1):

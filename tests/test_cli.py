@@ -161,3 +161,38 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--code", "six_four_two"])  # missing --rates
     assert exc.value.code == 2
+
+
+SIM = ["simulate", "--code", "six_four_two", "--puncture", "6", "--rates", "0.1"]
+VERIFY = ["verify", "--code", "six_four_two"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # malformed tokens are usage errors
+        (SIM + ["--rates", "abc"], 2),
+        (SIM + ["--rates", "0.1,abc"], 2),
+        (SIM + ["--puncture", "x"], 2),
+        (SIM + ["--trials", "0"], 2),
+        (SIM + ["--trials", "-3"], 2),
+        (SIM + ["--trials", "1.5"], 2),
+        (SIM + ["--postselect", "sometimes"], 2),
+        (SIM + ["--postselect", "weight:x"], 2),
+        (VERIFY + ["--puncture", "x"], 2),
+        (VERIFY + ["--puncture", "6,"], 2),
+        (VERIFY + ["--budget", "abc"], 2),
+        # well-formed values out of range are validation failures
+        (SIM + ["--rates", "1.5"], 1),
+        (SIM + ["--rates", "0.1,-0.2"], 1),
+        (SIM + ["--puncture", "7"], 1),
+        (VERIFY + ["--puncture", "0"], 1),
+        (VERIFY + ["--puncture", "1,2"], 1),
+    ],
+)
+def test_bad_input_exit_codes(argv, expected, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected

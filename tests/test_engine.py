@@ -7,10 +7,12 @@ from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
 from breedsim.codes import FeasibilityError, make_code
 from breedsim.engine import (
+    CHUNK,
     Channel,
     ErrorPattern,
     FixedChannel,
     PostSelect,
+    _sample_chunk,
     exact_fidelity,
     run_protocol,
     simulate,
@@ -28,19 +30,33 @@ def breeding_spec():
     return convert_pure(code, {5})
 
 
-@pytest.fixture(scope="module")
-def five_qubit_x3():
-    """Three disjoint copies of the five-qubit code: [[15,3,3]], too large for a syndrome table."""
+def five_qubit_copies(copies):
+    """Disjoint copies of the five-qubit code: [[5c, c, 3]]."""
     block = ["10010|01100", "01001|00110", "10100|00011", "01010|10001"]
+    n = 5 * copies
     rows = []
-    for copy in range(3):
+    for copy in range(copies):
         for g in block:
             vec = v(g)
-            row = np.zeros(30, dtype=np.int64)
+            row = np.zeros(2 * n, dtype=np.int64)
             row[5 * copy : 5 * copy + 5] = vec[:5]
-            row[15 + 5 * copy : 15 + 5 * copy + 5] = vec[5:]
+            row[n + 5 * copy : n + 5 * copy + 5] = vec[5:]
             rows.append(row)
-    return make_code(2, 15, rows)
+    return make_code(2, n, rows)
+
+
+@pytest.fixture(scope="module")
+def five_qubit_x3():
+    """[[15,3,3]], too large for a syndrome table."""
+    return five_qubit_copies(3)
+
+
+@pytest.fixture(scope="module")
+def qutrit_spec():
+    code = make_code(
+        3, 5, [v(g, 3) for g in ("10020|01200", "01002|00120", "20100|00012", "02010|20001")]
+    )
+    return convert_pure(code, {4})
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +134,10 @@ class TestVerifyGuarantee:
             (3, ["10020|01200", "01002|00120", "20100|00012", "02010|20001"], (4,), 4,
              68, "01000|10000", [0]),
             (2, ["111111|000000", "000000|111111"], (5,), 3, 2, "000000|100000", []),
+            # c = 0 fits the cap once it counts (erased set, syndrome) pairs; values
+            # cross-checked against one run_protocol call per row in enumeration order
+            (3, ["10020|01200", "01002|00120", "20100|00012", "02010|20001"], (), 4,
+             84, "01000|10000", [0]),
         ],
     )
     def test_overstated_distance_counterexample(
@@ -190,11 +210,64 @@ class TestSimulate:
         with pytest.raises(FeasibilityError, match="coset"):
             simulate(spec, Channel(2, 0.1), 200, seed=0)
 
+    @pytest.mark.parametrize("erasure", [0.0, 0.1])
+    def test_worker_counts_agree_on_partial_chunk(self, breeding_spec, erasure):
+        trials = 2 * CHUNK + 1234
+        ch = Channel(2, 0.1, erasure=erasure)
+        reports = [simulate(breeding_spec, ch, trials, seed=8, workers=w) for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_erasure_channel_runs(self, breeding_spec):
         report = simulate(breeding_spec, Channel(2, 0.0, erasure=0.2), 400, seed=5)
         # single erasures are always corrected (d = 2); with >= 2 erasures the
         # trial may fail, so fidelity is at least P(<= 1 erasure) ~ 0.74
         assert 0.7 < report.fidelity_estimate <= 1.0
+
+
+class TestSampleChunk:
+    @pytest.mark.parametrize("erasure", [0.0, 0.2])
+    @pytest.mark.parametrize("start", [0, CHUNK])
+    def test_shorter_run_is_prefix(self, breeding_spec, erasure, start):
+        ch = Channel(2, 0.3, erasure=erasure)
+        short_err, short_er = _sample_chunk(breeding_spec, ch, 4, start, start + 700)
+        long_err, long_er = _sample_chunk(breeding_spec, ch, 4, start, start + CHUNK)
+        assert np.array_equal(short_err, long_err[:700])
+        assert np.array_equal(short_er, long_er[:700])
+
+    def test_chunks_are_keyed_by_index(self, breeding_spec):
+        ch = Channel(2, 0.3)
+        first, _ = _sample_chunk(breeding_spec, ch, 4, 0, 500)
+        second, _ = _sample_chunk(breeding_spec, ch, 4, CHUNK, CHUNK + 500)
+        assert not np.array_equal(first, second)
+        with pytest.raises(ValueError, match="chunk"):
+            _sample_chunk(breeding_spec, ch, 4, 5, 10)
+        with pytest.raises(ValueError, match="chunk"):
+            _sample_chunk(breeding_spec, ch, 4, 0, CHUNK + 1)
+
+    @pytest.mark.parametrize("erasure", [0.0, 0.2])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_frequencies_match_channel(self, breeding_spec, qutrit_spec, p, erasure):
+        spec = breeding_spec if p == 2 else qutrit_spec
+        q, rate = p * p, 0.3
+        noisy = np.asarray(spec.noisy_positions)
+        n = spec.extended_code.n
+        values, flags = [], []
+        ch = Channel(p, rate, erasure)
+        for start in range(0, 3 * CHUNK, CHUNK):
+            errors, erased = _sample_chunk(spec, ch, 21, start, start + CHUNK)
+            values.append((errors[:, noisy] * p + errors[:, n + noisy]).ravel())
+            flags.append(erased.ravel())
+        values, flags = np.concatenate(values), np.concatenate(flags)
+        total = len(values)
+        for gone in (False, True):
+            for value in range(q):
+                if gone:
+                    want = erasure / q
+                else:
+                    want = (1 - erasure) * ((1 - rate) if value == 0 else rate / (q - 1))
+                got = np.count_nonzero((values == value) & (flags == gone)) / total
+                sigma = np.sqrt(want * (1 - want) / total)
+                assert abs(got - want) <= 5 * sigma, (gone, value, got, want)
 
 
 class TestExactFidelity:
@@ -231,16 +304,18 @@ class TestExactFidelity:
         ch = FixedChannel(ErrorPattern(np.zeros(12, dtype=np.int64)))
         assert exact_fidelity(breeding_spec, ch).fidelity == 1.0
 
-    def test_erasure_agrees_with_simulation_qutrit(self):
-        code = make_code(
-            3, 5, [v(g, 3) for g in ("10020|01200", "01002|00120", "20100|00012", "02010|20001")]
-        )
-        spec = convert_pure(code, {4})
+    def test_erasure_agrees_with_simulation_qutrit(self, qutrit_spec):
         ch = Channel(3, 0.05, erasure=0.1)
-        exact = exact_fidelity(spec, ch).fidelity
-        report = simulate(spec, ch, 4000, seed=13)
+        exact = exact_fidelity(qutrit_spec, ch).fidelity
+        report = simulate(qutrit_spec, ch, 4000, seed=13)
         sigma = np.sqrt(exact * (1 - exact) / report.trials)
         assert abs(report.fidelity_estimate - exact) < 4 * sigma
+
+    def test_erased_subsets_count_against_cap(self):
+        # q^m = 4^10 rows fit the cap, but times 2^10 erased subsets they do not
+        spec = convert_pure(five_qubit_copies(2), set())
+        with pytest.raises(FeasibilityError, match="erased subsets"):
+            exact_fidelity(spec, Channel(2, 0.1, erasure=0.1))
 
     @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:0"])
     def test_erasure_sum_matches_per_row_reference(self, policy):
