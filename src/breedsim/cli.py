@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify the 2t+e<d guarantee")
     p.add_argument("--code", required=True)
     p.add_argument("--puncture", type=_positions, default="")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_positive_int, default=1_000_000)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--postselect", type=_postselect, default="none", help="none | nonzero | weight:<t>"
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--pure", action="store_true", help="require purity of the witness")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     add_common(p)
     p.set_defaults(func=cmd_search)
 

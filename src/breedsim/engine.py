@@ -229,11 +229,11 @@ def verify_guarantee(
     values = [(a, b) for a in range(code.p) for b in range(code.p) if (a, b) != (0, 0)]
     v = len(values)
     m = len(noisy)
-    pairs = [(t, e) for e in range(d) for t in range((d - e - 1) // 2 + 1)]
-    # rows of one erased set of size e, summed over every t with 2t + e < d
-    set_rows = [
-        v**e * sum(comb(m - e, t) * v**t for t in range((d - e - 1) // 2 + 1)) for e in range(d)
-    ]
+    # error weights t with 2t + e < d per erased-set size e; at most m pairs can
+    # be erased, and at most m - e of the rest can carry an error
+    weights = {e: range(min((d - e - 1) // 2, m - e) + 1) for e in range(min(d, m + 1))}
+    # rows of one erased set of size e, summed over its weights
+    set_rows = [v**e * sum(comb(m - e, t) * v**t for t in ts) for e, ts in weights.items()]
     total = sum(comb(m, e) * rows for e, rows in enumerate(set_rows))
     if total > max_patterns:
         raise FeasibilityError(
@@ -252,8 +252,8 @@ def verify_guarantee(
         )
 
     patterns = 0
-    for t, e in pairs:
-        for erased in itertools.combinations(noisy, e):
+    for e, ts in weights.items():
+        for t, erased in itertools.product(ts, itertools.combinations(noisy, e)):
             rest = [i for i in noisy if i not in erased]
             rows = _pattern_rows(code.n, erased, rest, t, values)
             failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, erased)).success)

@@ -165,6 +165,8 @@ def test_usage_error_exit_code():
 
 SIM = ["simulate", "--code", "six_four_two", "--puncture", "6", "--rates", "0.1"]
 VERIFY = ["verify", "--code", "six_four_two"]
+ANALYZE = ["analyze", "--code", "six_four_two"]
+SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
 
 
 @pytest.mark.parametrize(
@@ -188,6 +190,22 @@ VERIFY = ["verify", "--code", "six_four_two"]
         (SIM + ["--puncture", "7"], 1),
         (VERIFY + ["--puncture", "0"], 1),
         (VERIFY + ["--puncture", "1,2"], 1),
+        # the same split for analyze, search and compare
+        (ANALYZE + ["--format", "xml"], 2),
+        (["analyze"], 2),
+        (SEARCH + ["--p", "x"], 2),
+        (SEARCH + ["--dmin", "1.5"], 2),
+        (["compare", "--format", "xml"], 2),
+        (ANALYZE[:2] + ["nosuch"], 1),
+        (SEARCH[:2] + ["4"] + SEARCH[3:], 1),
+        (SEARCH + ["--dmin", "0"], 1),
+        # budgets and worker counts below 1 are usage errors
+        (SEARCH + ["--budget", "-1"], 2),
+        (SEARCH + ["--budget", "0"], 2),
+        (VERIFY + ["--budget", "-1"], 2),
+        (VERIFY + ["--budget", "0"], 2),
+        (SIM + ["--workers", "0"], 2),
+        (SIM + ["--workers", "-2"], 2),
     ],
 )
 def test_bad_input_exit_codes(argv, expected, capsys):

@@ -138,6 +138,8 @@ class TestVerifyGuarantee:
             # cross-checked against one run_protocol call per row in enumeration order
             (3, ["10020|01200", "01002|00120", "20100|00012", "02010|20001"], (), 4,
              84, "01000|10000", [0]),
+            # d above the 2 noisy pairs plus one; values recorded once erased sets stop at m
+            (2, ["1111|0000", "0000|1111"], (2, 3), 4, 2, "0000|1000", []),
         ],
     )
     def test_overstated_distance_counterexample(
@@ -150,6 +152,14 @@ class TestVerifyGuarantee:
         assert cert.patterns == patterns
         assert sp.to_string(cert.counterexample.error) == error
         assert sorted(cert.counterexample.erased) == erased
+
+    def test_claimed_distance_beyond_noisy_pairs(self):
+        # one noisy pair: every erased set and error weight that fits on it passes
+        code = five_qubit_copies(1)
+        for d in (4, 6):
+            params = EaqeccParams(p=2, n=1, gross_k=1, c=4, d=d)
+            cert = verify_guarantee(BreedingProtocolSpec(code, frozenset({1, 2, 3, 4}), params))
+            assert cert.passed and cert.patterns == 7  # 1 + 3 errors + 3 erased values
 
     def test_coset_work_over_cap_refused(self, five_qubit_x3):
         # punctured at 15: 904 patterns, none fits a syndrome table
