@@ -103,8 +103,12 @@ def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
 
 
 def load_catalog_file(path: str) -> List[CatalogEntry]:
-    with open(path, encoding="utf-8") as fh:
-        return load_catalog(fh.read(), source=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog file {path}: {exc.strerror}") from None
+    return load_catalog(text, source=path)
 
 
 def builtin_catalog() -> List[CatalogEntry]:

@@ -26,9 +26,11 @@ class FeasibilityError(RuntimeError):
     """Raised when an exhaustive computation exceeds its configured cap."""
 
 
-#: syndrome/coset tables are only built when the relevant space fits this cap
+#: decode_table() refuses when its p^(2n) coset vectors exceed this cap
 TABLE_CAP = 1 << 20
 ENUM_CAP = 1 << 22
+#: entries of one (rows, coset vectors, columns) block of the coset enumeration
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        self._erasure_cache: dict = {}
+        # erased set -> (sorted syndrome keys, their leaders)
+        self._leaders: dict = {}
 
     @cached_property
     def dual(self) -> sp.SympSubspace:
@@ -106,120 +109,106 @@ class StabilizerCode:
         return errors % self.p @ self._syndrome_matrix.T % self.p
 
     @cached_property
-    def _decode_table(self) -> np.ndarray:
-        """Coset-leader table: syndrome index (mixed radix) -> leader vector."""
-        p, n, m = self.p, self.n, self.stab.dim
-        if fm.span_size(2 * n, p) > TABLE_CAP:
-            raise FeasibilityError(
-                f"syndrome table needs {p}^{2 * n} entries, over cap {TABLE_CAP}"
-            )
-        radix = self._syndrome_radix
-        table = np.zeros((p**m, 2 * n), dtype=np.int64)
-        best_w = np.full(p**m, 2 * n + 1, dtype=np.int64)
-        full = np.eye(2 * n, dtype=np.int64)
-        for batch in fm.iter_span_batches(full, p):
-            w = sp.symp_weights(batch)
-            syn = self.syndromes_batch(batch) @ radix
-            # enumeration order is lex; sorting by (weight, lex index) and
-            # taking first occurrences gives each syndrome's batch-local leader
-            order = np.lexsort((np.arange(len(batch)), w))
-            uniq, first = np.unique(syn[order], return_index=True)
-            cand_idx = order[first]
-            better = w[cand_idx] < best_w[uniq]
-            table[uniq[better]] = batch[cand_idx[better]]
-            best_w[uniq[better]] = w[cand_idx[better]]
-        if np.any(best_w > 2 * n):
-            raise AssertionError("coset-leader table left a reachable syndrome without a leader")
-        return table
-
-    @cached_property
     def _syndrome_radix(self) -> np.ndarray:
         m = self.stab.dim
         return self.p ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
+    @cached_property
+    def _decode_table(self) -> np.ndarray:
+        """Coset-leader table: syndrome index (mixed radix) -> leader vector."""
+        p, n = self.p, self.n
+        if fm.span_size(2 * n, p) > TABLE_CAP:
+            raise FeasibilityError(
+                f"decoder table enumerates {p}^{2 * n} vectors, over cap {TABLE_CAP}"
+            )
+        keys = np.arange(p**self.stab.dim, dtype=np.int64)
+        return self.decode(keys[:, None] // self._syndrome_radix % p)
+
     def decode_table(self) -> np.ndarray:
         return self._decode_table
 
-    def decode(self, syndrome: Tuple[int, ...], erased: FrozenSet[int] = frozenset()) -> np.ndarray:
-        """Minimum-weight error estimate for a syndrome.
+    def coset_size(self) -> int:
+        """Vectors ``decode`` enumerates per syndrome it has not decoded before: p^dim(dual)."""
+        return fm.span_size(self.dual.dim, self.p)
+
+    def decode(self, syndromes, erased: Iterable[int] = frozenset()) -> np.ndarray:
+        """Minimum-weight error estimate for one syndrome, or for each row of a
+        (rows, dim C) batch.
 
         Weight is counted only outside the erased positions; erased positions
         may carry arbitrary content. Ties go to the lexicographically smallest
-        (a|b) tuple. Raises ValueError for an unreachable syndrome.
+        (a|b) tuple. Leaders are cached per erased set; the syndromes of a call
+        not decoded before are decoded together, and refused before
+        enumerating when their count times ``coset_size()`` exceeds ENUM_CAP.
         """
-        p, n = self.p, self.n
-        syndrome = tuple(int(s) % p for s in syndrome)
-        if len(syndrome) != self.stab.dim:
-            raise ValueError(f"syndrome must have length {self.stab.dim}")
+        p, n, m = self.p, self.n, self.stab.dim
+        syndromes = np.asarray(syndromes, dtype=np.int64) % p
+        rows = np.atleast_2d(syndromes)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise ValueError(f"syndrome must have length {m}")
         erased = frozenset(int(i) for i in erased)
         if any(i < 0 or i >= n for i in erased):
             raise ValueError(f"erased positions out of range for n={n}")
-        if not self.coset_size(erased):
-            radix = self._syndrome_radix
-            return self._decode_table[int(np.asarray(syndrome) @ radix)].copy()
-        key = (erased, syndrome)
-        cached = self._erasure_cache.get(key)
-        if cached is not None:
-            return cached.copy()
-        leader = self._decode_by_coset(syndrome, erased)
-        self._erasure_cache[key] = leader
-        return leader.copy()
+        # keys fit int64 whenever decode can answer: p^dim(C) <= coset_size() <= ENUM_CAP
+        keys, inverse = np.unique(rows @ self._syndrome_radix, return_inverse=True)
+        empty = (keys[:0], np.zeros((0, 2 * n), dtype=np.int64))
+        known, leaders = self._leaders.get(erased, empty)
+        new = np.setdiff1d(keys, known, assume_unique=True)
+        if len(new):
+            work = len(new) * self.coset_size()
+            if work > ENUM_CAP:
+                raise FeasibilityError(
+                    f"decoding {len(new)} syndromes enumerates {work} coset vectors, "
+                    f"over cap {ENUM_CAP}"
+                )
+            found = self._decode_by_coset(new[:, None] // self._syndrome_radix % p, erased)
+            known, leaders = np.concatenate([known, new]), np.vstack([leaders, found])
+            order = np.argsort(known)
+            self._leaders[erased] = known, leaders = known[order], leaders[order]
+        decoded = leaders[np.searchsorted(known, keys)][inverse.reshape(-1)]
+        return decoded[0] if syndromes.ndim == 1 else decoded
 
-    def coset_size(self, erased: Iterable[int] = ()) -> int:
-        """Vectors ``decode`` enumerates per syndrome for this erased set: 0 when
-        the syndrome table answers (no erasure, p^(2n) <= TABLE_CAP), else p^dim(dual)."""
-        if not erased and fm.span_size(2 * self.n, self.p) <= TABLE_CAP:
-            return 0
-        return fm.span_size(self.dual.dim, self.p)
+    @cached_property
+    def _coset_basis(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(RREF basis of the dual, lift L): s @ L has syndrome s and is zero on
+        every pivot column of that basis."""
+        p, m = self.p, self.stab.dim
+        r, pivots = fm.rref(self.dual.basis, p)
+        basis = r[: len(pivots)]
+        unit = np.eye(m, dtype=np.int64)
+        lift = np.array([fm.solve(self._syndrome_matrix, e, p) for e in unit], dtype=np.int64)
+        # the dual is the syndrome kernel, so reducing against it keeps each syndrome
+        return basis, fm.reduce_rows(basis, pivots, lift.reshape(m, 2 * self.n), p)
 
-    def decode_batch(self, syndromes: np.ndarray, erased: FrozenSet[int] = frozenset()) -> np.ndarray:
-        """``decode`` of every syndrome row.
-
-        On the table path (``coset_size`` 0) one index into the leader table
-        answers every row; otherwise ``decode`` runs once per distinct syndrome,
-        and the batch is refused before decoding when the distinct syndromes
-        times ``coset_size`` exceed ENUM_CAP.
-        """
-        syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.int64)) % self.p
-        if syndromes.shape[1] != self.stab.dim:
-            raise ValueError(f"syndrome must have length {self.stab.dim}")
-        # keys fit int64 whenever decode can answer: both of its paths cap p^dim(C) below 2^22
-        keys = syndromes @ self._syndrome_radix
-        size = self.coset_size(erased)
-        if not size:
-            return self._decode_table[keys]
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        work = len(first) * size
-        if work > ENUM_CAP:
-            raise FeasibilityError(
-                f"decoding {len(first)} syndromes enumerates {work} coset vectors, "
-                f"over cap {ENUM_CAP}"
-            )
-        leaders = np.array([self.decode(syndromes[i], erased) for i in first], dtype=np.int64)
-        return leaders.reshape(len(first), 2 * self.n)[inverse.reshape(-1)]
-
-    def _decode_by_coset(self, syndrome, erased) -> np.ndarray:
+    def _decode_by_coset(self, syndromes: np.ndarray, erased: FrozenSet[int]) -> np.ndarray:
+        """Leaders of a (rows, dim C) syndrome batch, enumerating the coset
+        x0 + dual of every row together in blocks of about BLOCK_ENTRIES."""
         p, n = self.p, self.n
-        x0 = fm.solve(self._syndrome_matrix, np.asarray(syndrome, dtype=np.int64), p)
-        dual = self.dual
-        if fm.span_size(dual.dim, p) > ENUM_CAP:
-            raise FeasibilityError(
-                f"coset enumeration needs {p}^{dual.dim} vectors, over cap {ENUM_CAP}"
-            )
+        basis, lift = self._coset_basis
+        x0 = syndromes @ lift % p
         live = np.asarray([i for i in range(n) if i not in erased], dtype=np.int64)
-        best = None
-        best_key = None
-        for batch in fm.iter_span_batches(dual.basis, p):
-            cand = (batch + x0) % p
-            w = np.count_nonzero((cand[:, live] != 0) | (cand[:, n + live] != 0), axis=1)
-            for idx in np.flatnonzero(w == w.min()):
-                key = (int(w[idx]), tuple(int(x) for x in cand[idx]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = cand[idx]
-        if best is None:
-            raise AssertionError("coset enumeration produced no candidate")
-        return best
+        cols = np.concatenate([live, n + live])
+        # x0 + v is nonzero at a column exactly where v differs from -x0
+        target = (-x0[:, None, cols]) % p
+        rows = len(x0)
+        best_w = np.full(rows, n + 1)
+        best_v = np.zeros_like(x0)
+        # x0 is zero on every pivot column of the RREF basis, so x0 + v carries
+        # v's coefficients there and agrees with every vector of the span that
+        # shares its leading coefficients up to each pivot: the coefficient
+        # order of iter_span_batches is lex order of x0 + v. So the first
+        # minimum of argmin, replaced across batches only by a strictly smaller
+        # weight, is the lex-smallest minimum-weight vector of the coset.
+        batch_size = max(1, BLOCK_ENTRIES // (rows * 2 * n))
+        for batch in fm.iter_span_batches(basis, p, batch_size):
+            differs = batch[None, :, cols] != target
+            w = np.count_nonzero(differs[..., : len(live)] | differs[..., len(live) :], axis=2)
+            first = w.argmin(axis=1)
+            w_first = w[np.arange(rows), first]
+            better = w_first < best_w
+            best_w[better] = w_first[better]
+            best_v[better] = batch[first[better]]
+        return (x0 + best_v) % p
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
         """Canonical C-coset representative of each row (the zero row for rows in C)."""

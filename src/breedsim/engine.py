@@ -76,6 +76,8 @@ class PostSelect:
     def __post_init__(self):
         if self.mode not in ("none", "nonzero", "weight"):
             raise ValueError(f"unknown post-selection mode {self.mode!r}")
+        if self.threshold < 0:
+            raise ValueError(f"post-selection threshold must be at least 0, got {self.threshold}")
 
     @classmethod
     def parse(cls, text: str) -> "PostSelect":
@@ -174,7 +176,7 @@ def run_protocol(
     code = spec.extended_code
     errors = np.atleast_2d(pattern.error) % code.p
     syn = code.syndromes_batch(errors)
-    decoded = code.decode_batch(syn, pattern.erased)
+    decoded = code.decode(syn, pattern.erased)
     # decoded has the syndrome of errors, so every residual lies in C^perp_s
     logical = code.coset_representatives(errors - decoded)
     success = ~np.any(logical, axis=1)
@@ -218,8 +220,9 @@ def verify_guarantee(
     nonzero content on the erased pairs, times every weight-t error on the
     remaining noisy positions. Refuses before enumerating when the pattern
     count exceeds max_patterns, or when the coset vectors the decode cache
-    would enumerate exceed ENUM_CAP: per erased set, its distinct syndromes
-    (at most min(rows, p^dim C)) times ``StabilizerCode.coset_size``.
+    would enumerate exceed ENUM_CAP: per erased set, the empty one included,
+    its distinct syndromes (at most min(rows, p^dim C)) times
+    ``StabilizerCode.coset_size()``.
     """
     d = spec.params.d
     if d is None:
@@ -239,12 +242,11 @@ def verify_guarantee(
         raise FeasibilityError(
             f"guarantee verification needs {total} patterns, over cap {max_patterns}"
         )
-    # decode caches by (erased set, syndrome): an erased set costs one coset per
+    # decode caches leaders per erased set: an erased set costs one coset per
     # distinct syndrome among its rows, and there are at most p^dim(C) of those
     syndromes = code.p**code.stab.dim
-    work = sum(
-        comb(m, e) * min(rows, syndromes) * code.coset_size(noisy[:e])
-        for e, rows in enumerate(set_rows)
+    work = code.coset_size() * sum(
+        comb(m, e) * min(rows, syndromes) for e, rows in enumerate(set_rows)
     )
     if work > ENUM_CAP:
         raise FeasibilityError(

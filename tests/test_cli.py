@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +207,10 @@ SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
         (VERIFY + ["--budget", "0"], 2),
         (SIM + ["--workers", "0"], 2),
         (SIM + ["--workers", "-2"], 2),
+        (SIM + ["--postselect", "weight:-1"], 2),
+        # unreadable catalog files are validation failures, not tracebacks
+        (["compare", "--catalog", "/nonexistent/catalog.txt"], 1),
+        (ANALYZE[:2] + [str(Path(__file__).parent)], 1),
     ],
 )
 def test_bad_input_exit_codes(argv, expected, capsys):
@@ -214,3 +219,5 @@ def test_bad_input_exit_codes(argv, expected, capsys):
     except SystemExit as exc:
         code = exc.code
     assert code == expected
+    if expected == 1:
+        assert capsys.readouterr().err.startswith("error: ")

@@ -112,16 +112,6 @@ class TestDecode:
         for s, w in best.items():
             assert sp.symp_weight(rep642.decode(s)) == w
 
-    def test_table_and_coset_paths_agree(self, five_qubit):
-        for s0 in range(2):
-            for s1 in range(2):
-                for s2 in range(2):
-                    for s3 in range(2):
-                        s = (s0, s1, s2, s3)
-                        a = five_qubit.decode(s)
-                        b = five_qubit._decode_by_coset(s, frozenset())
-                        assert np.array_equal(a, b)
-
 
 class TestLogicalClass:
     def test_stabilizer_is_identity(self, rep642):

@@ -1,15 +1,19 @@
-"""The batched protocol kernel against the per-vector decode path it replaced.
+"""The batched protocol kernel and the coset-leader decoder against slow references.
 
 Codes are random self-orthogonal extensions (``symp_extend``) of random
-subspaces over p in {2, 3, 5}, small enough that the syndrome table fits.
+subspaces over p in {2, 3, 5}, small enough that F_p^{2n} can be listed.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams
+from breedsim.catalog import builtin_catalog
 from breedsim.codes import StabilizerCode
 from breedsim.engine import ErrorPattern, PostSelect, run_protocol
 
@@ -22,8 +26,8 @@ SETTINGS = settings(
 
 
 @st.composite
-def protocols(draw):
-    """A breeding spec built from a random subspace, plus random error rows and an erased set."""
+def extended_codes(draw):
+    """A random subspace of F_p^{2n} made self-orthogonal by symp_extend: (code, n, c)."""
     p = draw(st.sampled_from(sorted(MAX_N)))
     n = draw(st.integers(1, MAX_N[p]))
     dim = draw(st.integers(1, n))
@@ -31,33 +35,73 @@ def protocols(draw):
     d = sp.SympSubspace.from_rows(p, n, np.asarray(entries, dtype=np.int64).reshape(dim, 2 * n))
     assume(d.dim >= 1)
     ext, c = sp.symp_extend(d)
-    code = StabilizerCode(p, ext.n, ext.basis)
+    return StabilizerCode(p, ext.n, ext.basis), n, c
+
+
+@st.composite
+def protocols(draw):
+    """A breeding spec built from a random subspace, plus random error rows and an erased set."""
+    code, n, c = draw(extended_codes())
+    p = code.p
     spec = BreedingProtocolSpec(
-        code, frozenset(range(n, ext.n)), EaqeccParams(p=p, n=n, gross_k=code.k, c=c, d=None)
+        code, frozenset(range(n, code.n)), EaqeccParams(p=p, n=n, gross_k=code.k, c=c, d=None)
     )
     rows = draw(st.integers(1, 12))
     noisy = draw(
         st.lists(st.integers(0, p - 1), min_size=rows * 2 * n, max_size=rows * 2 * n)
     )
-    errors = np.zeros((rows, 2 * ext.n), dtype=np.int64)
-    errors[:, list(range(n)) + list(range(ext.n, ext.n + n))] = np.reshape(noisy, (rows, 2 * n))
+    errors = np.zeros((rows, 2 * code.n), dtype=np.int64)
+    errors[:, list(range(n)) + list(range(code.n, code.n + n))] = np.reshape(noisy, (rows, 2 * n))
     erased = frozenset(draw(st.sets(st.integers(0, n - 1))))
     return spec, errors, erased
 
 
-def postselects(n_total):
-    return st.sampled_from(["none", "nonzero"] + [f"weight:{t}" for t in range(n_total + 1)])
+def all_syndromes(code):
+    """Every syndrome of the code as rows, in mixed-radix key order."""
+    m = code.stab.dim
+    return np.asarray(list(itertools.product(range(code.p), repeat=m)), dtype=np.int64).reshape(-1, m)
+
+
+def brute_force_leaders(code, erased):
+    """Leader of every syndrome, in key order, by listing all of F_p^{2n}: the
+    minimum weight off the erased positions, then the lex-smallest (a|b)."""
+    p, n = code.p, code.n
+    live = [i for i in range(n) if i not in erased]
+    best = {}
+    for vec in itertools.product(range(p), repeat=2 * n):
+        syn = tuple(code.syndrome(np.asarray(vec)))
+        weight = sum(1 for i in live if vec[i] or vec[n + i])
+        best[syn] = min(best.get(syn, (weight, vec)), (weight, vec))
+    return np.asarray([best[tuple(s)][1] for s in all_syndromes(code)], dtype=np.int64)
 
 
 @SETTINGS
-@given(protocols())
-def test_decode_batch_matches_decode(case):
-    spec, errors, erased = case
-    code = spec.extended_code
-    syndromes = code.syndromes_batch(errors)
-    batch = code.decode_batch(syndromes, erased)
-    for syn, leader in zip(syndromes, batch):
-        assert np.array_equal(leader, code.decode(tuple(syn), erased))
+@given(extended_codes(), st.data())
+def test_decode_matches_brute_force(case, data):
+    code = case[0]
+    erased = frozenset(data.draw(st.sets(st.integers(0, code.n - 1))))
+    expected = brute_force_leaders(code, erased)
+    syndromes = all_syndromes(code)
+    order = data.draw(st.permutations(range(len(syndromes))))
+    # one syndrome per call, each decoded cold, on a fresh copy of the code
+    single = StabilizerCode(code.p, code.n, code.stab.basis)
+    for i in order:
+        assert np.array_equal(single.decode(tuple(syndromes[i]), erased), expected[i])
+    # a partial batch, then a batch with repeats that is partly answered from the cache
+    batched = StabilizerCode(code.p, code.n, code.stab.basis)
+    head = order[: len(order) // 2]
+    assert np.array_equal(batched.decode(syndromes[head], erased), expected[head])
+    rows = order + head
+    assert np.array_equal(batched.decode(syndromes[rows], erased), expected[rows])
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_builtin_decode_tables_match_brute_force(entry):
+    assert np.array_equal(entry.code.decode_table(), brute_force_leaders(entry.code, frozenset()))
+
+
+def postselects(n_total):
+    return st.sampled_from(["none", "nonzero"] + [f"weight:{t}" for t in range(n_total + 1)])
 
 
 @SETTINGS
