@@ -14,12 +14,10 @@ from .codes import (
     FeasibilityError,
     LogicalClass,
     StabilizerCode,
-    make_code,
 )
 from .engine import (
     Channel,
     ErrorPattern,
-    FixedChannel,
     PostSelect,
     ProtocolOutcome,
     SimulationReport,
@@ -49,7 +47,6 @@ __all__ = [
     "EaqeccParams",
     "ErrorPattern",
     "FeasibilityError",
-    "FixedChannel",
     "LogicalClass",
     "PostSelect",
     "ProtocolOutcome",
@@ -67,7 +64,6 @@ __all__ = [
     "exact_fidelity",
     "is_self_orthogonal",
     "load_catalog",
-    "make_code",
     "puncture",
     "run_protocol",
     "search_codes",

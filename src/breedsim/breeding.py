@@ -62,7 +62,7 @@ def ebit_count(d: sp.SympSubspace) -> int:
 
 def eaqecc_distance(d: sp.SympSubspace, max_size: int = ENUM_CAP) -> Optional[int]:
     """Exhaustive min symplectic weight over D^perp_s \\ D; None if empty."""
-    return min_weight_outside(sp.symp_dual(d), d, max_size)[0]
+    return min_weight_outside(d, max_size)[0]
 
 
 def convert_pure(code: StabilizerCode, punctured: Iterable[int]) -> BreedingProtocolSpec:

@@ -2,14 +2,22 @@
 
 A code is a self-orthogonal subspace C of F_p^{2n}; it encodes k = n - dim C
 qudits and has distance d = min symplectic weight over C^perp_s \\ C.
-The decoder is exact: minimum symplectic weight outside the erased positions,
-ties broken by the lexicographically smallest (a|b) tuple.
+
+Distance, purity and decoding scan symplectic-weight classes w = 0, 1, 2, ...
+(``symplectic.support_vectors``) and stop at the first class that settles the
+answer, so their cost follows the few low weights that matter, not the size
+of a span. The decoder is exact: minimum symplectic weight outside the erased
+positions, ties broken by the lexicographically smallest (a|b) tuple. Each
+scan counts the class vectors it would generate and raises FeasibilityError
+before generating past ENUM_CAP.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
@@ -26,11 +34,8 @@ class FeasibilityError(RuntimeError):
     """Raised when an exhaustive computation exceeds its configured cap."""
 
 
-#: decode_table() refuses when its p^(2n) coset vectors exceed this cap
-TABLE_CAP = 1 << 20
+#: most weight-class vectors one distance scan, or one erased set's decoder, generates
 ENUM_CAP = 1 << 22
-#: entries of one (rows, coset vectors, columns) block of the coset enumeration
-BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,8 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        # erased set -> (sorted syndrome keys, their leaders)
+        # erased set -> (sorted syndrome keys, their leaders, next live weight,
+        # class vectors generated so far)
         self._leaders: dict = {}
 
     @cached_property
@@ -87,7 +93,7 @@ class StabilizerCode:
 
     @cached_property
     def _distance_and_purity(self) -> Tuple[Optional[int], Optional[bool]]:
-        distance, min_nonzero = min_weight_outside(self.dual, self.stab)
+        distance, min_nonzero = min_weight_outside(self.stab)
         return distance, None if distance is None else distance == min_nonzero
 
     @cached_property
@@ -116,20 +122,16 @@ class StabilizerCode:
     @cached_property
     def _decode_table(self) -> np.ndarray:
         """Coset-leader table: syndrome index (mixed radix) -> leader vector."""
-        p, n = self.p, self.n
-        if fm.span_size(2 * n, p) > TABLE_CAP:
-            raise FeasibilityError(
-                f"decoder table enumerates {p}^{2 * n} vectors, over cap {TABLE_CAP}"
-            )
-        keys = np.arange(p**self.stab.dim, dtype=np.int64)
+        p, m = self.p, self.stab.dim
+        # every leader is one generated class vector, so more syndromes than
+        # ENUM_CAP could never be decoded
+        if p**m > ENUM_CAP:
+            raise FeasibilityError(f"decoder table of {p}^{m} syndromes exceeds cap {ENUM_CAP}")
+        keys = np.arange(p**m, dtype=np.int64)
         return self.decode(keys[:, None] // self._syndrome_radix % p)
 
     def decode_table(self) -> np.ndarray:
         return self._decode_table
-
-    def coset_size(self) -> int:
-        """Vectors ``decode`` enumerates per syndrome it has not decoded before: p^dim(dual)."""
-        return fm.span_size(self.dual.dim, self.p)
 
     def decode(self, syndromes, erased: Iterable[int] = frozenset()) -> np.ndarray:
         """Minimum-weight error estimate for one syndrome, or for each row of a
@@ -137,9 +139,9 @@ class StabilizerCode:
 
         Weight is counted only outside the erased positions; erased positions
         may carry arbitrary content. Ties go to the lexicographically smallest
-        (a|b) tuple. Leaders are cached per erased set; the syndromes of a call
-        not decoded before are decoded together, and refused before
-        enumerating when their count times ``coset_size()`` exceeds ENUM_CAP.
+        (a|b) tuple. Leaders are cached per erased set; a call with syndromes
+        not decoded before extends that cache through ``_decode_by_coset``.
+        Refuses a code whose p^dim(C) syndrome keys would overflow int64.
         """
         p, n, m = self.p, self.n, self.stab.dim
         syndromes = np.asarray(syndromes, dtype=np.int64) % p
@@ -149,66 +151,62 @@ class StabilizerCode:
         erased = frozenset(int(i) for i in erased)
         if any(i < 0 or i >= n for i in erased):
             raise ValueError(f"erased positions out of range for n={n}")
-        # keys fit int64 whenever decode can answer: p^dim(C) <= coset_size() <= ENUM_CAP
+        if p**m >= 1 << 63:
+            raise FeasibilityError(f"{p}^{m} syndromes overflow the int64 syndrome keys")
         keys, inverse = np.unique(rows @ self._syndrome_radix, return_inverse=True)
-        empty = (keys[:0], np.zeros((0, 2 * n), dtype=np.int64))
-        known, leaders = self._leaders.get(erased, empty)
-        new = np.setdiff1d(keys, known, assume_unique=True)
-        if len(new):
-            work = len(new) * self.coset_size()
-            if work > ENUM_CAP:
-                raise FeasibilityError(
-                    f"decoding {len(new)} syndromes enumerates {work} coset vectors, "
-                    f"over cap {ENUM_CAP}"
-                )
-            found = self._decode_by_coset(new[:, None] // self._syndrome_radix % p, erased)
-            known, leaders = np.concatenate([known, new]), np.vstack([leaders, found])
-            order = np.argsort(known)
-            self._leaders[erased] = known, leaders = known[order], leaders[order]
+        entry = self._leaders.get(erased)
+        if entry is None or not np.isin(keys, entry[0], assume_unique=True).all():
+            entry = self._decode_by_coset(keys, erased)
+        known, leaders = entry[:2]
         decoded = leaders[np.searchsorted(known, keys)][inverse.reshape(-1)]
         return decoded[0] if syndromes.ndim == 1 else decoded
 
-    @cached_property
-    def _coset_basis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(RREF basis of the dual, lift L): s @ L has syndrome s and is zero on
-        every pivot column of that basis."""
-        p, m = self.p, self.stab.dim
-        r, pivots = fm.rref(self.dual.basis, p)
-        basis = r[: len(pivots)]
-        unit = np.eye(m, dtype=np.int64)
-        lift = np.array([fm.solve(self._syndrome_matrix, e, p) for e in unit], dtype=np.int64)
-        # the dual is the syndrome kernel, so reducing against it keeps each syndrome
-        return basis, fm.reduce_rows(basis, pivots, lift.reshape(m, 2 * self.n), p)
+    def _decode_by_coset(self, keys: np.ndarray, erased: FrozenSet[int]) -> tuple:
+        """Extend the leader cache of one erased set until it holds every
+        syndrome key in keys; returns its cache entry.
 
-    def _decode_by_coset(self, syndromes: np.ndarray, erased: FrozenSet[int]) -> np.ndarray:
-        """Leaders of a (rows, dim C) syndrome batch, enumerating the coset
-        x0 + dual of every row together in blocks of about BLOCK_ENTRIES."""
+        Generates live-weight classes w = 0, 1, ...: w nonzero pairs off the
+        erased set, every one of the p^(2e) contents on it, resuming after the
+        last class generated for this erased set. A syndrome first met in
+        class w has no vector of lower live weight, so the lex-smallest row of
+        the class with that syndrome is its exact leader. Each class is taken
+        in blocks and the per-syndrome minima are merged across blocks.
+        Refused before generating a class that would take the vectors
+        generated for this erased set past ENUM_CAP.
+        """
         p, n = self.p, self.n
-        basis, lift = self._coset_basis
-        x0 = syndromes @ lift % p
-        live = np.asarray([i for i in range(n) if i not in erased], dtype=np.int64)
-        cols = np.concatenate([live, n + live])
-        # x0 + v is nonzero at a column exactly where v differs from -x0
-        target = (-x0[:, None, cols]) % p
-        rows = len(x0)
-        best_w = np.full(rows, n + 1)
-        best_v = np.zeros_like(x0)
-        # x0 is zero on every pivot column of the RREF basis, so x0 + v carries
-        # v's coefficients there and agrees with every vector of the span that
-        # shares its leading coefficients up to each pivot: the coefficient
-        # order of iter_span_batches is lex order of x0 + v. So the first
-        # minimum of argmin, replaced across batches only by a strictly smaller
-        # weight, is the lex-smallest minimum-weight vector of the coset.
-        batch_size = max(1, BLOCK_ENTRIES // (rows * 2 * n))
-        for batch in fm.iter_span_batches(basis, p, batch_size):
-            differs = batch[None, :, cols] != target
-            w = np.count_nonzero(differs[..., : len(live)] | differs[..., len(live) :], axis=2)
-            first = w.argmin(axis=1)
-            w_first = w[np.arange(rows), first]
-            better = w_first < best_w
-            best_w[better] = w_first[better]
-            best_v[better] = batch[first[better]]
-        return (x0 + best_v) % p
+        empty = (keys[:0], np.zeros((0, 2 * n), dtype=np.int64), 0, 0)
+        known, leaders, w, generated = self._leaders.get(erased, empty)
+        free = sorted(erased)
+        live = [i for i in range(n) if i not in erased]
+        check = self._syndrome_matrix.T
+        while not np.isin(keys, known, assume_unique=True).all():
+            generated += comb(len(live), w) * (p * p - 1) ** w * p ** (2 * len(free))
+            if generated > ENUM_CAP:
+                raise FeasibilityError(
+                    f"decoding with {len(free)} erased positions enumerates {generated} "
+                    f"weight-class vectors through weight {w}, over cap {ENUM_CAP}"
+                )
+            supports = (
+                head + tail
+                for e in range(len(free) + 1)
+                for head in itertools.combinations(free, e)
+                for tail in itertools.combinations(live, w)
+            )
+            found = [
+                _lex_first(block @ check % p @ self._syndrome_radix, block)
+                for block in sp.support_vectors(n, p, supports)
+            ]
+            found_keys, found_rows = _lex_first(
+                np.concatenate([k for k, _ in found]), np.vstack([r for _, r in found])
+            )
+            fresh = ~np.isin(found_keys, known, assume_unique=True)
+            known = np.concatenate([known, found_keys[fresh]])
+            leaders = np.vstack([leaders, found_rows[fresh]])
+            order = np.argsort(known)
+            known, leaders, w = known[order], leaders[order], w + 1
+            self._leaders[erased] = known, leaders, w, generated
+        return self._leaders[erased]
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
         """Canonical C-coset representative of each row (the zero row for rows in C)."""
@@ -227,32 +225,45 @@ class StabilizerCode:
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
 
 
+def _lex_first(keys: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, the lexicographically smallest row with each key)."""
+    order = np.lexsort((*rows.T[::-1], keys))
+    keys, rows = keys[order], rows[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first], rows[first]
+
+
 def min_weight_outside(
-    outer: sp.SympSubspace, inner: sp.SympSubspace, cap: int = ENUM_CAP
+    sub: sp.SympSubspace, cap: int = ENUM_CAP
 ) -> Tuple[Optional[int], Optional[int]]:
-    """(min weight over span(outer) \\ span(inner), min nonzero weight over span(outer)).
+    """(min weight over sub^perp_s \\ sub, min nonzero weight over sub^perp_s).
 
-    Both are None when span(outer) lies inside span(inner); otherwise the
-    p^dim(outer) vectors of span(outer) are enumerated, refused above cap.
+    Both are None when sub^perp_s lies inside sub. Otherwise weight classes
+    w = 1, 2, ... are scanned up to the first one holding a vector of
+    sub^perp_s (zero syndrome against sub) outside sub; refused before a
+    class that would take the vectors generated past cap.
     """
-    p = outer.p
-    r, pivots = fm.rref(inner.basis, p)
-    basis = r[: len(pivots)]
-    if not np.any(fm.reduce_rows(basis, pivots, outer.basis, p)):
+    p, n = sub.p, sub.n
+    # sub meets its dual in dim(sub) - rank(gram) dimensions, and the dual
+    # (of dimension 2n - dim(sub)) lies inside sub iff it is that intersection
+    if 2 * n - sub.dim == sub.dim - fm.rank(sp.gram(sub), p):
         return None, None
-    if fm.span_size(outer.dim, p) > cap:
-        raise FeasibilityError(
-            f"minimum-weight enumeration needs {p}^{outer.dim} vectors, over cap {cap}"
-        )
-    # a basis row of outer lies outside inner, so both minima end below this start
-    best_outside = best_nonzero = 2 * outer.n + 1
-    for batch in fm.iter_span_batches(outer.basis, p):
-        w = sp.symp_weights(batch)
-        outside = np.any(fm.reduce_rows(basis, pivots, batch, p), axis=1)
-        best_outside = int(w[outside].min(initial=best_outside))
-        best_nonzero = int(w[w > 0].min(initial=best_nonzero))
-    return best_outside, best_nonzero
-
-
-def make_code(p: int, n: int, generators: Iterable[np.ndarray]) -> StabilizerCode:
-    return StabilizerCode(p, n, generators)
+    r, pivots = fm.rref(sub.basis, p)
+    basis = r[: len(pivots)]
+    check = sp.syndrome_matrix(sub.basis, p).T
+    min_nonzero, generated = None, 0
+    for w in range(1, n + 1):
+        generated += comb(n, w) * (p * p - 1) ** w
+        if generated > cap:
+            raise FeasibilityError(
+                f"minimum-weight enumeration needs {generated} vectors through weight {w}, "
+                f"over cap {cap}"
+            )
+        for block in sp.support_vectors(n, p, itertools.combinations(range(n), w)):
+            dual = block[~np.any(block @ check % p, axis=1)]
+            if len(dual):
+                min_nonzero = min_nonzero or w
+                if np.any(fm.reduce_rows(basis, pivots, dual, p)):
+                    return w, min_nonzero
+    raise AssertionError("the dual lies outside sub but has no vector of weight at most n")

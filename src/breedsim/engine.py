@@ -60,13 +60,6 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class FixedChannel:
-    """Replays one fixed error pattern every trial."""
-
-    pattern: ErrorPattern
-
-
-@dataclass(frozen=True)
 class PostSelect:
     """Step-7 discard policy: none, nonzero-syndrome, or decoded-weight threshold."""
 
@@ -192,25 +185,6 @@ def run_protocol(
     )
 
 
-def _pattern_rows(n_total: int, erased: tuple, rest: list, t: int, values: list) -> np.ndarray:
-    """Errors with nonzero content on every erased pair and on t pairs of rest.
-
-    Rows follow the error positions in combination order, then the content
-    in product order over ``values``.
-    """
-    size = len(erased) + t
-    content = np.asarray(list(itertools.product(values, repeat=size)), dtype=np.int64)
-    content = content.reshape(len(values) ** size, size, 2)
-    blocks = []
-    for err_pos in itertools.combinations(rest, t):
-        support = np.asarray(erased + err_pos, dtype=np.int64)
-        block = np.zeros((len(content), 2 * n_total), dtype=np.int64)
-        block[:, support] = content[:, :, 0]
-        block[:, n_total + support] = content[:, :, 1]
-        blocks.append(block)
-    return np.vstack(blocks)
-
-
 def verify_guarantee(
     spec: BreedingProtocolSpec, max_patterns: int = 1_000_000
 ) -> GuaranteeCertificate:
@@ -219,51 +193,51 @@ def verify_guarantee(
     Enumerates every erased subset of noisy positions of size e with every
     nonzero content on the erased pairs, times every weight-t error on the
     remaining noisy positions. Refuses before enumerating when the pattern
-    count exceeds max_patterns, or when the coset vectors the decode cache
-    would enumerate exceed ENUM_CAP: per erased set, the empty one included,
-    its distinct syndromes (at most min(rows, p^dim C)) times
-    ``StabilizerCode.coset_size()``.
+    count exceeds max_patterns, or when the weight classes the decoder would
+    generate exceed ENUM_CAP: per erased set of size e, live weights up to the
+    largest t with 2t + e < d, with all p^(2e) contents on the erased set.
     """
     d = spec.params.d
     if d is None:
         raise FeasibilityError("protocol distance is undefined; nothing to guarantee")
     code = spec.extended_code
     noisy = spec.noisy_positions
-    values = [(a, b) for a in range(code.p) for b in range(code.p) if (a, b) != (0, 0)]
-    v = len(values)
-    m = len(noisy)
+    q = code.p**2
+    m, n = len(noisy), code.n
     # error weights t with 2t + e < d per erased-set size e; at most m pairs can
     # be erased, and at most m - e of the rest can carry an error
     weights = {e: range(min((d - e - 1) // 2, m - e) + 1) for e in range(min(d, m + 1))}
-    # rows of one erased set of size e, summed over its weights
-    set_rows = [v**e * sum(comb(m - e, t) * v**t for t in ts) for e, ts in weights.items()]
-    total = sum(comb(m, e) * rows for e, rows in enumerate(set_rows))
+    total = sum(
+        comb(m, e) * comb(m - e, t) * (q - 1) ** (e + t) for e, ts in weights.items() for t in ts
+    )
     if total > max_patterns:
         raise FeasibilityError(
             f"guarantee verification needs {total} patterns, over cap {max_patterns}"
         )
-    # decode caches leaders per erased set: an erased set costs one coset per
-    # distinct syndrome among its rows, and there are at most p^dim(C) of those
-    syndromes = code.p**code.stab.dim
-    work = code.coset_size() * sum(
-        comb(m, e) * min(rows, syndromes) for e, rows in enumerate(set_rows)
+    # a pattern's leader has live weight at most its t, so the decoder stops
+    # by the class of the largest t for its erased set
+    work = sum(
+        comb(m, e) * comb(n - e, w) * (q - 1) ** w * q**e
+        for e, ts in weights.items()
+        for w in ts
     )
     if work > ENUM_CAP:
         raise FeasibilityError(
-            f"guarantee verification enumerates {work} coset vectors, over cap {ENUM_CAP}"
+            f"guarantee verification enumerates {work} weight-class vectors, over cap {ENUM_CAP}"
         )
 
     patterns = 0
     for e, ts in weights.items():
         for t, erased in itertools.product(ts, itertools.combinations(noisy, e)):
             rest = [i for i in noisy if i not in erased]
-            rows = _pattern_rows(code.n, erased, rest, t, values)
-            failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, erased)).success)
-            if len(failed):
-                first = int(failed[0])
-                counterexample = ErrorPattern(rows[first].copy(), erased)
-                return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
-            patterns += len(rows)
+            supports = (erased + err for err in itertools.combinations(rest, t))
+            for rows in sp.support_vectors(n, code.p, supports):
+                failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, erased)).success)
+                if len(failed):
+                    first = int(failed[0])
+                    counterexample = ErrorPattern(rows[first].copy(), erased)
+                    return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
+                patterns += len(rows)
     return GuaranteeCertificate(True, patterns, d)
 
 
@@ -333,7 +307,7 @@ def _simulate_chunk(args) -> Tuple[int, int]:
 
 def simulate(
     spec: BreedingProtocolSpec,
-    channel,
+    channel: Channel,
     trials: int,
     seed: int = 0,
     postselect: PostSelect = KEEP_ALL,
@@ -342,13 +316,6 @@ def simulate(
     """Monte Carlo fidelity/yield estimate; deterministic in (channel, trials, seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(channel, FixedChannel):
-        outcome = run_protocol(spec, channel.pattern, postselect)
-        discards = trials if outcome.discarded else 0
-        successes = 0 if outcome.discarded else (trials if outcome.success else 0)
-        return SimulationReport(
-            trials, discards, successes, spec.params.gross_k, spec.params.net_yield, seed
-        )
     if channel.p != spec.extended_code.p:
         raise ValueError("channel field size does not match the code")
     chunks = [
@@ -379,11 +346,6 @@ def exact_fidelity(
     nonzero probability (2^m of them when 0 < erasure < 1, else one), and
     refuses before the first kernel call when that exceeds max_terms.
     """
-    if isinstance(channel, FixedChannel):
-        outcome = run_protocol(spec, channel.pattern, postselect)
-        if outcome.discarded:
-            return ExactFidelity(0.0, 0.0)
-        return ExactFidelity(1.0 if outcome.success else 0.0, 1.0)
     code = spec.extended_code
     p = code.p
     noisy = list(spec.noisy_positions)

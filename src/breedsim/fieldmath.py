@@ -113,34 +113,6 @@ def reduce_rows(basis: np.ndarray, pivots: List[int], rows: np.ndarray, p: int) 
     return out
 
 
-def reduce_vector(basis: np.ndarray, pivots: List[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Reduce v against an RREF basis; result is the canonical coset representative."""
-    return reduce_rows(basis, pivots, np.asarray(v)[None, :], p)[0]
-
-
-def in_row_space(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Membership of v in the row space spanned by an RREF basis."""
-    r, pivots = rref(basis, p)
-    return not np.any(reduce_vector(r[: len(pivots)], pivots, v, p))
-
-
-def intersect(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of the intersection of two row spaces."""
-    a = row_basis(a, p)
-    b = row_basis(b, p)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("row spaces live in different ambient dimensions")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    # (u, v) with u a = v b  <=>  (u, v) in the right kernel of [a; -b]^T
-    stacked = np.vstack([a, (-b) % p])
-    coeffs = kernel(stacked.T, p)
-    if coeffs.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    vecs = coeffs[:, : a.shape[0]] @ a % p
-    return row_basis(vecs, p)
-
-
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """One particular solution x of a x = b over F_p (free variables set to 0).
 

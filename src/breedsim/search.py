@@ -67,23 +67,6 @@ class _Budget:
         return not self.exhausted
 
 
-def _low_weight_vectors(p: int, n: int, d_min: int) -> np.ndarray:
-    """All vectors with symplectic weight in [1, d_min)."""
-    values = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
-    rows = []
-    for w in range(1, d_min):
-        for support in itertools.combinations(range(n), w):
-            for content in itertools.product(values, repeat=w):
-                v = np.zeros(2 * n, dtype=np.int64)
-                for pos, (a, b) in zip(support, content):
-                    v[pos] = a
-                    v[n + pos] = b
-                rows.append(v)
-    if not rows:
-        return np.zeros((0, 2 * n), dtype=np.int64)
-    return np.vstack(rows)
-
-
 def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows (b | -a mod p) in float32, so that <u, v>_s = u . partner(v) mod p.
 
@@ -119,7 +102,9 @@ class _VectorTable:
         leading = self.vectors[np.arange(len(self.vectors)), np.minimum(self.first_nz, 2 * n - 1)]
         # ascending; the monic vectors with pivot after column j are those below p^(2n-1-j)
         self.monic_idx = np.flatnonzero(nonzero & (leading == 1))
-        self.low_weight = _low_weight_vectors(p, n, d_min)
+        # every vector of symplectic weight in [1, d_min), by weight
+        supports = (s for w in range(1, d_min) for s in itertools.combinations(range(n), w))
+        self.low_weight = np.vstack([self.vectors[:0], *sp.support_vectors(n, p, supports)])
 
     def orthogonal(self, rows: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Flags [i, j]: <rows[i], v_j>_s = 0, where partners[j] is v_j's partner row."""

@@ -6,12 +6,16 @@ are the X-part, the last n the Z-part. Position indices are 0-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from . import fieldmath as fm
+
+#: entries (rows x 2n) of one block that ``support_vectors`` yields
+BLOCK_ENTRIES = 1 << 20
 
 
 def vector(a: Sequence[int], b: Sequence[int], p: int) -> np.ndarray:
@@ -72,6 +76,35 @@ def symp_weights(mat: np.ndarray) -> np.ndarray:
     return np.count_nonzero((mat[:, :n] != 0) | (mat[:, n:] != 0), axis=1)
 
 
+def support_vectors(n: int, p: int, supports: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
+    """Every vector of F_p^{2n} whose nonzero pairs (a_i, b_i) are exactly one
+    of the given supports, in blocks of at most BLOCK_ENTRIES entries.
+
+    Rows follow the supports in the order given, then the contents in product
+    order over the p^2 - 1 nonzero (a, b) values, a support's first listed
+    position being the most significant. A support of size s gives
+    (p^2 - 1)^s rows; a block never mixes supports of different sizes.
+    """
+    # the nonzero (a, b) in lex order are the base-p digits of 1 .. p^2 - 1
+    a_of, b_of = np.divmod(np.arange(1, p * p), p)
+    max_rows = max(1, BLOCK_ENTRIES // (2 * n))
+    for size, group in itertools.groupby(supports, len):
+        group = list(group)
+        pos = np.array(group, dtype=np.int64).reshape(len(group), size)
+        # row r holds support r // (p^2 - 1)^size, whose contents are the
+        # remaining base-(p^2 - 1) digits of r
+        shape = (len(pos),) + (p * p - 1,) * size
+        total = len(pos) * (p * p - 1) ** size
+        for start in range(0, total, max_rows):
+            support, *digits = np.unravel_index(np.arange(start, min(start + max_rows, total)), shape)
+            digits = np.array(digits, dtype=np.intp).reshape(size, len(support)).T
+            at = np.arange(len(support))[:, None]
+            block = np.zeros((len(support), 2 * n), dtype=np.int64)
+            block[at, pos[support]] = a_of[digits]
+            block[at, n + pos[support]] = b_of[digits]
+            yield block
+
+
 def star(v: np.ndarray, p: int) -> np.ndarray:
     """The map (a|b) -> (a|-b)."""
     v = np.asarray(v, dtype=np.int64)
@@ -108,9 +141,6 @@ class SympSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def contains(self, v: np.ndarray) -> bool:
-        return fm.in_row_space(self.basis, v, self.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SympSubspace):

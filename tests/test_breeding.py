@@ -8,7 +8,7 @@ from breedsim.breeding import (
     eaqecc_distance,
     ebit_count,
 )
-from breedsim.codes import make_code
+from breedsim.codes import FeasibilityError, StabilizerCode
 
 
 def v(text, p=2):
@@ -17,7 +17,7 @@ def v(text, p=2):
 
 @pytest.fixture(scope="module")
 def rep642():
-    return make_code(2, 6, [v("111111|000000"), v("000000|111111")])
+    return StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")])
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,12 @@ class TestEaqeccDistance:
         d = sp.SympSubspace.from_rows(2, 1, np.eye(2, dtype=np.int64))
         assert eaqecc_distance(d) is None
 
+    def test_weight_classes_over_max_size_refused(self, punctured_pair):
+        # d = 2 needs the weight-1 and weight-2 classes: 5*3 + 10*9 = 105 vectors
+        assert eaqecc_distance(punctured_pair, max_size=105) == 2
+        with pytest.raises(FeasibilityError, match="through weight 2"):
+            eaqecc_distance(punctured_pair, max_size=104)
+
 
 class TestConvertPure:
     def test_worked_example(self, rep642):
@@ -86,7 +92,7 @@ class TestConvertPure:
         zs = ["110000000", "011000000", "000110000", "000011000", "000000110", "000000011"]
         rows = [v("000000000|" + z) for z in zs]
         rows += [v("111111000|000000000"), v("000111111|000000000")]
-        code = make_code(2, 9, rows)
+        code = StabilizerCode(2, 9, rows)
         assert code.k == 1 and code.distance == 3 and code.is_pure is False
         with pytest.raises(ValueError, match="pure"):
             convert_pure(code, {0})

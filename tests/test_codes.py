@@ -3,7 +3,7 @@ import pytest
 
 from breedsim import fieldmath as fm
 from breedsim import symplectic as sp
-from breedsim.codes import CodeConstructionError, StabilizerCode, make_code
+from breedsim.codes import CodeConstructionError, FeasibilityError, StabilizerCode
 
 
 def v(text, p=2):
@@ -12,12 +12,12 @@ def v(text, p=2):
 
 @pytest.fixture(scope="module")
 def rep642():
-    return make_code(2, 6, [v("111111|000000"), v("000000|111111")])
+    return StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")])
 
 
 @pytest.fixture(scope="module")
 def five_qubit():
-    return make_code(
+    return StabilizerCode(
         2,
         5,
         [v("10010|01100"), v("01001|00110"), v("10100|00011"), v("01010|10001")],
@@ -30,13 +30,13 @@ def test_make_code_parameters(rep642):
 
 
 def test_make_code_single_generator():
-    code = make_code(2, 1, [v("1|0")])
+    code = StabilizerCode(2, 1, [v("1|0")])
     assert code.k == 0
 
 
 def test_make_code_rejects_anticommuting_pair():
     with pytest.raises(CodeConstructionError, match="symplectic product"):
-        make_code(2, 1, [v("1|0"), v("0|1")])
+        StabilizerCode(2, 1, [v("1|0"), v("0|1")])
 
 
 def test_distance_of_repetition_pair(rep642):
@@ -45,7 +45,7 @@ def test_distance_of_repetition_pair(rep642):
 
 
 def test_distance_undefined_when_dual_equals_code():
-    code = make_code(2, 1, [v("1|0")])
+    code = StabilizerCode(2, 1, [v("1|0")])
     assert code.distance is None
     assert code.is_pure is None
 
@@ -97,9 +97,15 @@ class TestDecode:
         assert np.array_equal(got, err)
 
     def test_bad_syndrome_length(self):
-        code = make_code(2, 2, [v("10|00"), v("01|00")])
+        code = StabilizerCode(2, 2, [v("10|00"), v("01|00")])
         with pytest.raises(ValueError):
             code.decode((1,))
+
+    def test_syndrome_keys_beyond_int64_refused(self):
+        # 251^8 syndromes overflow int64 keys although a weight-1 decode is under the cap
+        code = StabilizerCode(251, 9, np.hstack([np.zeros((8, 9)), np.eye(8, 9)]).astype(np.int64))
+        with pytest.raises(FeasibilityError, match="int64"):
+            code.decode((1,) + (0,) * 7)
 
     def test_optimality_against_enumeration(self, rep642):
         # every returned leader has minimal weight in its syndrome class
@@ -128,8 +134,9 @@ class TestLogicalClass:
     def test_canonical_within_coset(self, five_qubit):
         rng = np.random.default_rng(1)
         logical = None
+        basis, pivots = fm.rref(five_qubit.stab.basis, 2)
         for vec in fm.span_elements(five_qubit.dual.basis, 2):
-            if not five_qubit.stab.contains(vec):
+            if fm.reduce_rows(basis, pivots, vec[None, :], 2).any():
                 logical = vec
                 break
         for _ in range(10):

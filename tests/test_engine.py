@@ -5,12 +5,11 @@ import pytest
 
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
-from breedsim.codes import FeasibilityError, make_code
+from breedsim.codes import FeasibilityError, StabilizerCode
 from breedsim.engine import (
     CHUNK,
     Channel,
     ErrorPattern,
-    FixedChannel,
     PostSelect,
     _sample_chunk,
     exact_fidelity,
@@ -26,7 +25,7 @@ def v(text, p=2):
 
 @pytest.fixture(scope="module")
 def breeding_spec():
-    code = make_code(2, 6, [v("111111|000000"), v("000000|111111")])
+    code = StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")])
     return convert_pure(code, {5})
 
 
@@ -42,18 +41,24 @@ def five_qubit_copies(copies):
             row[5 * copy : 5 * copy + 5] = vec[:5]
             row[n + 5 * copy : n + 5 * copy + 5] = vec[5:]
             rows.append(row)
-    return make_code(2, n, rows)
+    return StabilizerCode(2, n, rows)
 
 
 @pytest.fixture(scope="module")
 def five_qubit_x3():
-    """[[15,3,3]], too large for a syndrome table."""
+    """[[15,3,3]]: 2^12 syndromes, a dual of 2^18 vectors."""
     return five_qubit_copies(3)
+
+
+def test_decode_with_erasures_over_cap_refused(five_qubit_x3):
+    # 12 erased positions: the weight-0 class alone holds 4^12 > 2^22 vectors
+    with pytest.raises(FeasibilityError, match="weight-class vectors"):
+        five_qubit_x3.decode(np.zeros(12, dtype=np.int64), erased=range(12))
 
 
 @pytest.fixture(scope="module")
 def qutrit_spec():
-    code = make_code(
+    code = StabilizerCode(
         3, 5, [v(g, 3) for g in ("10020|01200", "01002|00120", "20100|00012", "02010|20001")]
     )
     return convert_pure(code, {4})
@@ -61,7 +66,7 @@ def qutrit_spec():
 
 @pytest.fixture(scope="module")
 def hashing_spec():
-    code = make_code(
+    code = StabilizerCode(
         2,
         5,
         [v("10010|01100"), v("01001|00110"), v("10100|00011"), v("01010|10001")],
@@ -110,7 +115,7 @@ class TestVerifyGuarantee:
         assert cert.patterns == 121
 
     def test_undefined_distance_refused(self):
-        code = make_code(2, 1, [v("1|0")])
+        code = StabilizerCode(2, 1, [v("1|0")])
         from breedsim.breeding import BreedingProtocolSpec, EaqeccParams
 
         bad = BreedingProtocolSpec(
@@ -145,7 +150,7 @@ class TestVerifyGuarantee:
     def test_overstated_distance_counterexample(
         self, p, generators, ebits, claimed, patterns, error, erased
     ):
-        code = make_code(p, len(generators[0]) // 2, [v(g, p) for g in generators])
+        code = StabilizerCode(p, len(generators[0]) // 2, [v(g, p) for g in generators])
         params = EaqeccParams(p=p, n=code.n - len(ebits), gross_k=code.k, c=len(ebits), d=claimed)
         cert = verify_guarantee(BreedingProtocolSpec(code, frozenset(ebits), params))
         assert not cert.passed
@@ -161,12 +166,18 @@ class TestVerifyGuarantee:
             cert = verify_guarantee(BreedingProtocolSpec(code, frozenset({1, 2, 3, 4}), params))
             assert cert.passed and cert.patterns == 7  # 1 + 3 errors + 3 erased values
 
-    def test_coset_work_over_cap_refused(self, five_qubit_x3):
-        # punctured at 15: 904 patterns, none fits a syndrome table
-        # (2^30 > TABLE_CAP), each coset has 2^18 vectors
-        params = EaqeccParams(p=2, n=14, gross_k=3, c=1, d=3)
-        with pytest.raises(FeasibilityError, match="coset"):
-            verify_guarantee(BreedingProtocolSpec(five_qubit_x3, frozenset({14}), params))
+    def test_punctured_five_qubit_x3_passes(self, five_qubit_x3):
+        # 2t + e < 3 on 14 noisy pairs: 1 + 14*3 (t=1) + 14*3 (e=1) + C(14,2)*9 (e=2)
+        cert = verify_guarantee(convert_pure(five_qubit_x3, {14}))
+        assert cert.passed and cert.patterns == 904
+
+    def test_weight_classes_over_cap_refused(self, five_qubit_x3):
+        # a claimed d = 12 takes erased sets of size 11, each decoded from 4^11 > 2^22
+        # class vectors; the pattern cap is raised so that only the class count refuses
+        params = EaqeccParams(p=2, n=15, gross_k=3, c=0, d=12)
+        spec = BreedingProtocolSpec(five_qubit_x3, frozenset(), params)
+        with pytest.raises(FeasibilityError, match="weight-class vectors"):
+            verify_guarantee(spec, max_patterns=10**12)
 
     def test_all_catalog_conversions(self):
         from breedsim.catalog import builtin_catalog
@@ -193,13 +204,6 @@ class TestSimulate:
         parallel = simulate(breeding_spec, Channel(2, 0.1), 25_000, seed=3, workers=2)
         assert serial == parallel
 
-    def test_fixed_channel_replays_outcome(self, breeding_spec):
-        ch = FixedChannel(ErrorPattern(v("110000|000000")))
-        report = simulate(breeding_spec, ch, 100)
-        assert report.successes == 0 and report.discards == 0
-        ch_ok = FixedChannel(ErrorPattern(np.zeros(12, dtype=np.int64)))
-        assert simulate(breeding_spec, ch_ok, 100).successes == 100
-
     def test_invalid_trials(self, breeding_spec):
         with pytest.raises(ValueError):
             simulate(breeding_spec, Channel(2, 0.1), 0)
@@ -213,12 +217,12 @@ class TestSimulate:
         plain = simulate(breeding_spec, Channel(2, 0.3), 4000, seed=0)
         assert report.fidelity_estimate >= plain.fidelity_estimate
 
-    def test_coset_work_over_cap_refused(self, five_qubit_x3):
-        # without a syndrome table each distinct syndrome costs a 2^18-vector coset
-        params = EaqeccParams(p=2, n=15, gross_k=3, c=0, d=3)
-        spec = BreedingProtocolSpec(five_qubit_x3, frozenset(), params)
-        with pytest.raises(FeasibilityError, match="coset"):
-            simulate(spec, Channel(2, 0.1), 200, seed=0)
+    def test_five_qubit_x3_hashing_runs(self, five_qubit_x3):
+        # 2^12 syndromes, each leader found by weight 3
+        spec = convert_pure(five_qubit_x3, set())
+        report = simulate(spec, Channel(2, 0.1), 200, seed=0)
+        assert report.trials == 200 and report.discards == 0
+        assert 0 < report.successes < 200
 
     @pytest.mark.parametrize("erasure", [0.0, 0.1])
     def test_worker_counts_agree_on_partial_chunk(self, breeding_spec, erasure):
@@ -310,10 +314,6 @@ class TestExactFidelity:
         sigma = np.sqrt(exact * (1 - exact) / report.trials)
         assert abs(report.fidelity_estimate - exact) < 4 * sigma
 
-    def test_fixed_channel(self, breeding_spec):
-        ch = FixedChannel(ErrorPattern(np.zeros(12, dtype=np.int64)))
-        assert exact_fidelity(breeding_spec, ch).fidelity == 1.0
-
     def test_erasure_agrees_with_simulation_qutrit(self, qutrit_spec):
         ch = Channel(3, 0.05, erasure=0.1)
         exact = exact_fidelity(qutrit_spec, ch).fidelity
@@ -329,7 +329,7 @@ class TestExactFidelity:
 
     @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:0"])
     def test_erasure_sum_matches_per_row_reference(self, policy):
-        code = make_code(2, 4, [v("1111|0000"), v("0000|1111")])
+        code = StabilizerCode(2, 4, [v("1111|0000"), v("0000|1111")])
         spec = convert_pure(code, {3})
         post = PostSelect.parse(policy)
         rate, er, m = 0.15, 0.2, 3

@@ -63,8 +63,8 @@ def test_rref_preserves_row_space():
             m = rng.integers(0, p, size=(3, 6))
             basis = fm.row_basis(m, p)
             assert fm.rank(m, p) == basis.shape[0]
-            for row in m:
-                assert fm.in_row_space(basis, row, p)
+            _, pivots = fm.rref(basis, p)
+            assert not fm.reduce_rows(basis, pivots, m, p).any()
 
 
 def test_kernel_of_zero_map_is_everything():
@@ -91,28 +91,6 @@ def test_rank_nullity():
             # kernel rows really annihilate
             for row in fm.kernel(m, p):
                 assert not np.any((m % p) @ row % p)
-
-
-def test_intersect_trivial_cases():
-    a = fm.row_basis([[1, 0], [0, 1]], 2)
-    assert np.array_equal(fm.intersect(a, a, 2), a)
-    assert fm.intersect([[1, 0]], [[0, 1]], 2).shape[0] == 0
-    got = fm.intersect([[1, 0], [0, 1]], [[1, 1]], 2)
-    assert np.array_equal(got, [[1, 1]])
-
-
-def test_intersect_dimension_formula():
-    rng = np.random.default_rng(19)
-    for p in (2, 3, 5):
-        for _ in range(30):
-            a = rng.integers(0, p, size=(2, 6))
-            b = rng.integers(0, p, size=(3, 6))
-            inter = fm.intersect(a, b, p)
-            for row in inter:
-                assert fm.in_row_space(fm.row_basis(a, p), row, p)
-                assert fm.in_row_space(fm.row_basis(b, p), row, p)
-            dim_sum = fm.rank(np.vstack([a, b]), p)
-            assert fm.rank(a, p) + fm.rank(b, p) == dim_sum + inter.shape[0]
 
 
 def test_solve_round_trip():
