@@ -1,18 +1,25 @@
 """Exhaustive existence search for stabilizer code parameters at desk scale.
 
 Subspaces are enumerated through their unique RREF bases, one generator per
-depth in pivot order, pruning non-self-orthogonal partial bases. The distance
-filter is exact: a finished subspace has d >= d_min iff no vector of
-symplectic weight below d_min lies in the dual outside the code. Symplectic
-products are float32 dot products with a partner table, exact because every
-one is an integer below 2^24.
+depth in pivot order, pruning non-self-orthogonal partial bases. The last two
+depths are taken a block of siblings at a time: under a node P, the leaves of
+a child u are the children of P that pivot after u, are zero on u's pivot and
+are orthogonal to u. The distance filter is exact: a finished subspace has
+d >= d_min iff no vector of symplectic weight below d_min lies in the dual
+outside the code. For a block of children it is one Gram product G = O^T O of
+the orthogonality flags O between P's reduced low-weight rows and P's
+children: a leaf c of u passes iff G[u, c] - mu[u] == M[u, c] (see
+``_SiblingGroup``). Node counts are replayed over each block in DFS order, so
+verdicts, counts and witnesses are those of a leaf-by-leaf search. Symplectic
+products are float32 dot products with partner rows, exact because every one
+is an integer below 2^24.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +33,8 @@ FEASIBILITY_CAP = 10**8
 VECTOR_CAP = 1 << 22
 #: float32 represents every integer below this exactly
 FLOAT32_EXACT = 1 << 24
-#: entries per intermediate of the leaf filter; candidates are taken in blocks
-BLOCK_ENTRIES = 1 << 22
+#: entries per intermediate of the leaf filter; children and leaves are taken in blocks
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,75 +86,166 @@ def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
             f"symplectic products over F_{p}^{2 * n} can reach {FLOAT32_EXACT} "
             "and are not exact in float32"
         )
-    return np.hstack([rows[:, n:], (-rows[:, :n]) % p]).astype(np.float32)
+    # p - a, not -a: a uint8 negation wraps
+    return np.hstack([rows[:, n:], (p - rows[:, :n]) % p]).astype(np.float32)
 
 
 class _VectorTable:
-    """Every vector of F_p^{2n}, at its index in ``span_elements`` order, with
-    the tables the DFS and the leaf filter read."""
+    """Every vector of F_p^{2n} as uint8, at its index in ``span_elements``
+    order, with the tables the DFS and the leaf filter read."""
 
     def __init__(self, p: int, n: int, d_min: int):
         if p ** (2 * n) > VECTOR_CAP:
             raise FeasibilityError(f"vector table of size {p}^{2 * n} exceeds cap {VECTOR_CAP}")
         self.p, self.n = p, n
-        self.vectors = fm.span_elements(np.eye(2 * n, dtype=np.int64), p)
-        self.partner = _partner_rows(self.vectors, p)
-        # zero_mod[x]: the exact integer product x is 0 mod p
-        self.zero_mod = np.arange(2 * n * (p - 1) ** 2 + 1) % p == 0
+        size = 2 * n
+        # index i holds the base-p digits of i, the first coordinate most
+        # significant; written a batch at a time, so no int64 copy of the table
+        self.vectors = np.empty((p**size, size), dtype=np.uint8)
+        start = 0
+        for batch in fm.iter_span_batches(np.eye(size, dtype=np.int64), p, batch_size=1 << 12):
+            self.vectors[start : start + len(batch)] = batch
+            start += len(batch)
         # vector v sits at index v . radix
-        self.radix = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+        self.radix = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        # zero_mod[x]: the exact integer product x is 0 mod p
+        self.zero_mod = np.arange(size * (p - 1) ** 2 + 1) % p == 0
         self.inverse = np.array([0] + [fm.inv_mod(x, p) for x in range(1, p)], dtype=np.int64)
-        nonzero = self.vectors.any(axis=1)
-        self.first_nz = np.where(nonzero, np.argmax(self.vectors != 0, axis=1), 2 * n)
-        leading = self.vectors[np.arange(len(self.vectors)), np.minimum(self.first_nz, 2 * n - 1)]
-        # ascending; the monic vectors with pivot after column j are those below p^(2n-1-j)
-        self.monic_idx = np.flatnonzero(nonzero & (leading == 1))
+        # after[j + 1] = p^(2n-1-j): the vectors with pivot (first nonzero
+        # column) after j are those below it; pivot j fills [after[j + 1], after[j])
+        self.after = p ** np.arange(size, -1, -1, dtype=np.int64)
+        # the zero vector gets pivot -1, so as a child row it restricts nothing
+        self.first_nz = np.full(len(self.vectors), -1, dtype=np.int8)
+        for j in range(size):
+            self.first_nz[self.after[j + 1] : self.after[j]] = j
+        # ascending; the monic vectors with pivot j are [after[j + 1], 2 after[j + 1])
+        self.monic_idx = np.concatenate([np.arange(a, 2 * a) for a in self.after[:0:-1]])
         # every vector of symplectic weight in [1, d_min), by weight
         supports = (s for w in range(1, d_min) for s in itertools.combinations(range(n), w))
-        self.low_weight = np.vstack([self.vectors[:0], *sp.support_vectors(n, p, supports)])
+        self.low_weight = np.vstack([np.zeros((0, size), np.int64), *sp.support_vectors(n, p, supports)])
 
-    def orthogonal(self, rows: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        """Flags [i, j]: <rows[i], v_j>_s = 0, where partners[j] is v_j's partner row."""
-        return self.zero_mod[(rows.astype(np.float32) @ partners.T).astype(np.intp)]
+    def orthogonal(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """Flags [i, j]: <rows[i], others[j]>_s = 0."""
+        return self.zero_mod[(rows.astype(np.float32) @ _partner_rows(others, self.p).T).astype(np.intp)]
+
+    def monic_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row's monic multiple; 0 for a zero row."""
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        return rows * self.inverse[lead][:, None] % self.p @ self.radix
 
     def candidates(self, chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
         """Ascending indices of the vectors that extend the RREF rows chosen
         to a self-orthogonal RREF basis, as its last row."""
         last = pivots[-1] if pivots else -1
-        idx = self.monic_idx[: np.searchsorted(self.monic_idx, self.p ** (2 * self.n - 1 - last))]
+        idx = self.monic_idx[: np.searchsorted(self.monic_idx, self.after[last + 1])]
         if len(pivots):
             # full RREF uniqueness: earlier rows are zero on the new pivot
             idx = idx[~chosen.any(axis=0)[self.first_nz[idx]]]
-            idx = idx[self.orthogonal(chosen, self.partner[idx]).all(axis=0)]
+            idx = idx[self.orthogonal(self.vectors[idx], chosen).all(axis=1)]
         return idx
 
     def leaf_survivors(self, idx: np.ndarray, chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
-        """Per candidate c: no vector of weight below d_min lies in the dual of
-        chosen + c outside its span, i.e. that code has distance >= d_min.
+        """Per candidate c of the ascending idx: chosen + c has distance >= d_min.
+        The sibling-group filter on the one child that adds no row."""
+        group = _SiblingGroup(self, chosen, pivots, idx)
+        no_row = np.zeros(1, dtype=np.int64)
+        return group.survivors(no_row, group.leaf_candidates(no_row))[0]
 
-        Counts, per c, the low-weight rows orthogonal to chosen, reduced
-        against it and nonzero, that are orthogonal to c, and the ones that
-        are multiples of c. Multiples of c are orthogonal to c, so c passes
-        iff the counts agree. Candidates are taken in blocks so that no
-        intermediate exceeds about BLOCK_ENTRIES entries.
-        """
-        ok = np.ones(len(idx), dtype=bool)
-        sel = self.low_weight
+
+class _SiblingGroup:
+    """The children of one DFS node chosen and the leaves under each.
+
+    A child is an index of ``candidates(chosen)``, or index 0, the zero
+    vector, standing for no child row. leaves is ``candidates(chosen)`` or an
+    ascending part of it. The leaves under a child u are those leaves that
+    pivot after u, are zero on u's pivot and are orthogonal to u, i.e.
+    ``candidates(chosen + u)``; the pivot condition makes them a prefix of
+    leaves.
+
+    The filter is exact. S holds the low-weight rows orthogonal to chosen,
+    reduced against it and nonzero. For a child u and a leaf c with
+    <u, c>_s = 0, reducing by u keeps orthogonality to c, and the nonzero
+    multiples of u in S are orthogonal to both; so chosen + u + c has no
+    vector of weight below d_min in its dual outside its span iff
+    G - mu == M, where G[u, c] = #{s in S: s _|_ u, s _|_ c} is a Gram
+    product, mu[u] = #{s in S: s a multiple of u} and
+    M[u, c] = #{s in S: s _|_ u, s - s[pivot u] u a nonzero multiple of c}.
+    Children and leaves are taken in blocks of about BLOCK_ENTRIES entries.
+    """
+
+    def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
+        self.table, self.leaves = table, leaves
+        sel = table.low_weight
         if len(pivots) and len(sel):
-            sel = sel[self.orthogonal(sel, _partner_rows(chosen, self.p)).all(axis=1)]
-            sel = fm.reduce_rows(chosen, pivots, sel, self.p)
+            sel = sel[table.orthogonal(sel, chosen).all(axis=1)]
+            sel = fm.reduce_rows(chosen, pivots, sel, table.p)
             sel = sel[sel.any(axis=1)]  # rows inside span(chosen) never disqualify
-        if len(sel) == 0:
-            return ok
-        # a reduced row is a multiple of the monic c iff its monic scaling is c
-        lead = sel[np.arange(len(sel)), np.argmax(sel != 0, axis=1)]
-        monic_rows = sel * self.inverse[lead][:, None] % self.p
-        multiples = np.bincount(monic_rows @ self.radix, minlength=len(self.vectors))[idx]
-        step = max(1, BLOCK_ENTRIES // len(sel))
-        for start in range(0, len(idx), step):
-            block = slice(start, start + step)
-            zeros = self.orthogonal(sel, self.partner[idx[block]]).sum(axis=0)
-            ok[block] = zeros == multiples[block]
+        self.sel, self.sel_f32, self.keys = sel, sel.astype(np.float32), table.monic_keys(sel)
+        self.sel_pivots = np.argmax(sel != 0, axis=1)
+
+    def ends(self, kids: np.ndarray) -> np.ndarray:
+        """How many leaves, from the first, pivot after each child."""
+        return np.searchsorted(self.leaves, self.table.after[self.table.first_nz[kids] + 1])
+
+    def blocks(self, kids: np.ndarray) -> Iterator[slice]:
+        """Consecutive blocks of kids, each as large as its intermediates allow."""
+        ends = np.maximum(self.ends(kids), len(self.sel))
+        start = 0
+        while start < len(kids):
+            # a block of count kids holds count * max(widest prefix, |S|) entries
+            widest = np.maximum.accumulate(ends[start : start + BLOCK_ENTRIES])
+            entries = widest * np.arange(1, len(widest) + 1)
+            count = max(1, int(np.searchsorted(entries, BLOCK_ENTRIES, side="right")))
+            yield slice(start, start + count)
+            start += count
+
+    def leaf_candidates(self, kids: np.ndarray) -> np.ndarray:
+        """cand[j, c]: leaves[c] is a leaf under kids[j], over the leaves
+        that pivot after some child."""
+        t = self.table
+        leaves = self.leaves[: self.ends(kids).max(initial=0)]
+        u = t.vectors[kids]
+        limits = t.after[t.first_nz[kids] + 1][:, None]
+        cand = np.empty((len(kids), len(leaves)), dtype=bool)
+        step = max(1, BLOCK_ENTRIES // max(len(kids), 2 * t.n))
+        for start in range(0, len(leaves), step):
+            cols = leaves[start : start + step]
+            pivot_ok = (cols < limits) & (u[:, t.first_nz[cols]] == 0)
+            cand[:, start : start + len(cols)] = pivot_ok & t.orthogonal(u, t.vectors[cols])
+        return cand
+
+    def survivors(self, kids: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """The leaf candidates cand of kids that pass the distance filter."""
+        t, sel = self.table, self.sel
+        leaves = self.leaves[: cand.shape[1]]
+        u = t.vectors[kids].astype(np.int64)
+        orth_u = t.orthogonal(sel, u)
+        gram_u = orth_u.T.astype(np.float32)
+        mu = (self.keys == kids[:, None]).sum(axis=1)
+        # M's nonzero entries: (kid, position in leaves) of each reduced row s _|_ u;
+        # only rows zero before u's pivot reduce to a leaf, which pivots after u
+        kid_pivots = t.first_nz[kids]
+        kid_of, row_of = np.nonzero(orth_u.T & (self.sel_pivots >= kid_pivots[:, None]))
+        lead = sel[row_of, kid_pivots[kid_of]]
+        red_keys = self.keys[row_of]  # a row zero on u's pivot is its own reduction
+        moved = np.flatnonzero(lead)
+        step = max(1, BLOCK_ENTRIES // (2 * t.n))
+        for start in range(0, len(moved), step):
+            pair = moved[start : start + step]
+            red_keys[pair] = t.monic_keys((sel[row_of[pair]] - lead[pair, None] * u[kid_of[pair]]) % t.p)
+        pos = np.searchsorted(leaves, red_keys)
+        hit = pos < len(leaves)
+        hit[hit] = leaves[pos[hit]] == red_keys[hit]
+        by_pos = np.argsort(pos[hit], kind="stable")
+        kid_of, pos = kid_of[hit][by_pos], pos[hit][by_pos]
+        ok = cand.copy()
+        step = max(1, BLOCK_ENTRIES // max(len(kids), len(sel), 2 * t.n))
+        for start in range(0, len(leaves) if len(kids) else 0, step):
+            rows = t.vectors[leaves[start : start + step]]
+            gram = gram_u @ t.orthogonal(self.sel_f32, rows).astype(np.float32)
+            lo, hi = np.searchsorted(pos, [start, start + step])
+            mult = np.bincount(kid_of[lo:hi] * len(rows) + pos[lo:hi] - start, minlength=gram.size)
+            ok[:, start : start + len(rows)] &= gram - mu[:, None] == mult.reshape(gram.shape)
         return ok
 
 
@@ -157,7 +255,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     Exhaustive unless the node budget runs out (verdict "inconclusive").
     Codes whose distance is undefined (dual equal to the code itself) never
     match, so k = 0 queries have no witnesses. Only the leaf candidates that
-    pass ``_VectorTable.leaf_survivors`` are built as codes.
+    pass the ``_SiblingGroup`` filter are built as codes.
     """
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
@@ -173,8 +271,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     vectors, first_nz = table.vectors, table.first_nz
     budget = _Budget(q.budget)
 
-    def candidate_indices(chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
-        idx = table.candidates(chosen, pivots)
+    def ordered(idx: np.ndarray) -> np.ndarray:
         return idx if order == "asc" else idx[::-1]
 
     def validate(rows: List[np.ndarray]) -> Optional[StabilizerCode]:
@@ -185,24 +282,40 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
             return None
         return code
 
-    def finish(chosen: np.ndarray, pivots: List[int]) -> Optional[Tuple[str, ...]]:
-        idx = candidate_indices(chosen, pivots)
-        if not budget.spend(len(idx)):
-            return None
-        for i in idx[table.leaf_survivors(idx, chosen, pivots)]:
-            code = validate(list(chosen) + [vectors[i]])
-            if code is not None:
-                return tuple(sp.to_string(r) for r in code.stab.basis)
+    def last_levels(chosen: np.ndarray, pivots: List[int], kids: np.ndarray, leaves: np.ndarray):
+        group = _SiblingGroup(table, chosen, pivots, leaves)
+        for block in group.blocks(kids):
+            block = kids[block]
+            cand = group.leaf_candidates(block)
+            # each child costs a node (the zero row stands for none), then its leaves do
+            spent = np.column_stack([block != 0, cand.sum(axis=1)]).ravel()
+            total = budget.nodes + np.cumsum(spent)
+            # the first spend past the cap ends the search; children before it are checked
+            stop = int(np.searchsorted(total, budget.cap, side="right"))
+            ok = group.survivors(block[: stop // 2], cand[: stop // 2])
+            for j in np.flatnonzero(ok.any(axis=1)):
+                head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
+                for i in ordered(leaves[: ok.shape[1]][ok[j]]):
+                    code = validate(head + [vectors[i]])
+                    if code is not None:
+                        budget.nodes = int(total[2 * j + 1])
+                        return tuple(sp.to_string(r) for r in code.stab.basis)
+            if stop < len(total):
+                budget.nodes, budget.exhausted = int(total[stop]), True
+                return None
+            budget.nodes = int(total[-1])
         return None
 
     def dfs(chosen: np.ndarray, pivots: List[int]) -> Optional[Tuple[str, ...]]:
-        if len(pivots) == m - 1:
-            return finish(chosen, pivots)
-        for i in candidate_indices(chosen, pivots):
+        idx = table.candidates(chosen, pivots)
+        if len(pivots) == m - 1:  # m = 1: the root's leaves, under no child row
+            return last_levels(chosen, pivots, np.zeros(1, dtype=np.int64), idx)
+        if len(pivots) == m - 2:
+            return last_levels(chosen, pivots, ordered(idx), idx)
+        for i in ordered(idx):
             if not budget.spend(1):
                 return None
-            row = vectors[i]
-            witness = dfs(np.vstack([chosen, row]), pivots + [int(first_nz[i])])
+            witness = dfs(np.vstack([chosen, vectors[i]]), pivots + [int(first_nz[i])])
             if witness is not None:
                 return witness
             if budget.exhausted:

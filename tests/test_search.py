@@ -145,8 +145,8 @@ def reference_search(q: SearchQuery, order: str = "asc") -> SearchResult:
 
 #: (p, n, k, largest d_min) of the reference grid; every d_min from 1 up is queried
 REFERENCE_GRID = [
-    (2, 1, 0, 2), (2, 2, 1, 3), (2, 3, 1, 4), (2, 3, 2, 4), (2, 4, 2, 2), (2, 4, 3, 3),
-    (3, 2, 1, 3), (3, 3, 1, 2), (3, 3, 2, 4), (5, 2, 1, 3),
+    (2, 1, 0, 2), (2, 2, 1, 3), (2, 3, 1, 4), (2, 3, 2, 4), (2, 4, 1, 2), (2, 4, 2, 2),
+    (2, 4, 3, 3), (3, 2, 1, 3), (3, 3, 1, 2), (3, 3, 2, 4), (5, 2, 1, 3),
 ]
 
 
@@ -165,7 +165,20 @@ def test_matches_reference_search_under_budget():
         assert search_codes(q) == reference_search(q)
 
 
-@pytest.mark.parametrize("params, nodes", [((2, 5, 3, 2), 87_978), ((3, 4, 2, 3), 301_760)])
+@pytest.mark.parametrize("order", ["asc", "desc"])
+@pytest.mark.parametrize("params", [(3, 3, 1, 2), (2, 4, 2, 2)])
+def test_budget_runs_out_inside_sibling_groups(params, order):
+    # the witness's node count less one runs out on the leaves of its own child
+    found = search_codes(SearchQuery(*params), order)
+    assert found.verdict == "exists"
+    for budget in [*range(1, 400, 37), found.nodes - 1, found.nodes]:
+        q = SearchQuery(*params, budget=budget)
+        assert search_codes(q, order) == reference_search(q, order), budget
+
+
+@pytest.mark.parametrize(
+    "params, nodes", [((2, 5, 3, 2), 87_978), ((3, 4, 2, 3), 301_760), ((2, 6, 4, 3), 1_400_490)]
+)
 def test_certificate_node_counts(params, nodes):
     for order in ("asc", "desc"):
         assert search_codes(SearchQuery(*params), order) == SearchResult("not_exists", nodes)
@@ -202,18 +215,54 @@ def check_leaf_filter(p, n, chosen_rows, d_min, limit=None):
     return [sp.to_string(table.vectors[i]) for i in idx[ok]]
 
 
-@pytest.mark.parametrize(
-    "p, chosen, leaf",
-    [
-        # [[4,2,2]] on qubits 2-5 plus Z_1: a chosen row of weight 1 reduces to zero
-        (2, ["01111|00000", "00000|10000"], "00000|01111"),
-        # [[3,1,2]]_3 plus Z_4: the leaf's multiple 2 Z_4 has weight 1
-        (3, ["1000|0110", "0110|2000"], "0000|0001"),
-    ],
-)
+#: impure codes of distance 2: (p, RREF rows in DFS order, last row)
+IMPURE_CODES = [
+    # [[4,2,2]] on qubits 2-5 plus Z_1: a chosen row of weight 1 reduces to zero
+    (2, ["01111|00000", "00000|10000"], "00000|01111"),
+    # [[3,1,2]]_3 plus Z_4: the leaf's multiple 2 Z_4 has weight 1
+    (3, ["1000|0110", "0110|2000"], "0000|0001"),
+]
+
+
+@pytest.mark.parametrize("p, chosen, leaf", IMPURE_CODES)
 def test_leaf_filter_keeps_impure_codes(p, chosen, leaf):
     rows = [sp.from_string(g, p) for g in chosen]
     assert leaf in check_leaf_filter(p, len(leaf) // 2, rows, 2)
+
+
+def passing_leaves(table, parent, pivots, kid_row):
+    """The leaves under the child kid_row of the RREF rows parent that pass
+    the sibling-group filter."""
+    leaves = table.candidates(parent, pivots)
+    group = search._SiblingGroup(table, parent, pivots, leaves)
+    kid = np.array([kid_row @ table.radix])
+    ok = group.survivors(kid, group.leaf_candidates(kid))
+    return [sp.to_string(table.vectors[i]) for i in leaves[: ok.shape[1]][ok[0]]]
+
+
+@pytest.mark.parametrize("p, chosen, leaf", IMPURE_CODES)
+def test_sibling_group_keeps_impure_codes(p, chosen, leaf):
+    # the last chosen row is the child; in the first case it is the weight-1
+    # Z_1, so mu counts it
+    rows = [sp.from_string(g, p) for g in chosen]
+    table = search._VectorTable(p, len(leaf) // 2, 2)
+    pivots = [int(np.argmax(r != 0)) for r in rows[:-1]]
+    assert leaf in passing_leaves(table, np.array(rows[:-1]), pivots, rows[-1])
+
+
+def test_sibling_group_reduces_by_the_child():
+    # Shor's [[9,1,3]] code; its RREF ends with Z_7 Z_9 and Z_8 Z_9, and the
+    # weight-2 stabilizer Z_7 Z_8 reduces by the child Z_7 Z_9 to the leaf
+    n = 9
+    xs = ["111111000", "000111111"]
+    zs = ["110000000", "011000000", "000110000", "000011000", "000000110", "000000011"]
+    rows = [sp.from_string(f"{x}|{'0' * n}", 2) for x in xs]
+    rows += [sp.from_string(f"{'0' * n}|{z}", 2) for z in zs]
+    basis, pivots = fm.rref(np.array(rows), 2)
+    kid, leaf = sp.to_string(basis[6]), sp.to_string(basis[7])
+    assert [kid, leaf] == ["000000000|000000101", "000000000|000000011"]
+    table = search._VectorTable(2, n, 3)
+    assert leaf in passing_leaves(table, basis[:6], pivots[:6], basis[6])
 
 
 #: largest n per field for the random leaf-filter check (p^(2n) <= 729)
@@ -244,3 +293,58 @@ def chosen_rows(draw):
 def test_leaf_filter_matches_exact_distance(case):
     p, n, rows, d_min = case
     check_leaf_filter(p, n, rows, d_min, limit=24)
+
+
+#: largest n per field for the random sibling-group check (p^(2n) <= 15625)
+GROUP_MAX_N = {2: 4, 3: 4, 5: 3}
+
+
+@st.composite
+def sibling_groups(draw):
+    """A parent of at most n - 3 rows drawn among the DFS candidates, so
+    every leaf code has k >= 1; up to five of its children in random order;
+    a d_min and a block size."""
+    p = draw(st.sampled_from(sorted(GROUP_MAX_N)))
+    n = draw(st.integers(3, GROUP_MAX_N[p]))
+    d_min = draw(st.integers(1, n + 1))
+    table = search._VectorTable(p, n, d_min)
+    chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
+    for _ in range(draw(st.integers(0, n - 3))):
+        idx = table.candidates(chosen, pivots)
+        if len(idx) == 0:
+            break
+        i = idx[draw(st.integers(0, len(idx) - 1))]
+        chosen = np.vstack([chosen, table.vectors[i]])
+        pivots.append(int(table.first_nz[i]))
+    idx = table.candidates(chosen, pivots).tolist()
+    kids = draw(st.lists(st.sampled_from(idx), max_size=5, unique=True)) if idx else []
+    block_entries = draw(st.sampled_from([1, 7, 64, search.BLOCK_ENTRIES]))
+    return p, n, d_min, chosen, pivots, np.array(kids, dtype=np.int64), block_entries
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(sibling_groups())
+def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group):
+    p, n, d_min, chosen, pivots, kids, block_entries = group
+    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
+    table = search._VectorTable(p, n, d_min)
+    leaves = table.candidates(chosen, pivots)
+    sibling_group = search._SiblingGroup(table, chosen, pivots, leaves)
+    blocks = [kids[block] for block in sibling_group.blocks(kids)]
+    assert [int(kid) for block in blocks for kid in block] == kids.tolist()
+    for block in blocks:
+        cand = sibling_group.leaf_candidates(block)
+        ok = sibling_group.survivors(block, cand)
+        assert not (ok & ~cand).any()
+        for kid, kid_cand, kid_ok in zip(block, cand, ok):
+            rows = np.vstack([chosen, table.vectors[kid]])
+            expected = table.candidates(rows, pivots + [int(table.first_nz[kid])])
+            assert leaves[: len(kid_cand)][kid_cand].tolist() == expected.tolist()
+            cols = np.flatnonzero(kid_cand)
+            for col in cols[:: max(1, len(cols) // 6)]:
+                code = StabilizerCode(p, n, list(rows) + [table.vectors[leaves[col]]])
+                assert kid_ok[col] == (code.distance >= d_min), table.vectors[leaves[col]]
