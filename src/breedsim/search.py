@@ -126,7 +126,8 @@ class _VectorTable:
 
     def orthogonal(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Flags [i, j]: <rows[i], others[j]>_s = 0."""
-        return self.zero_mod[(rows.astype(np.float32) @ _partner_rows(others, self.p).T).astype(np.intp)]
+        products = rows.astype(np.float32, copy=False) @ _partner_rows(others, self.p).T
+        return self.zero_mod[products.astype(np.intp)]
 
     def monic_keys(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row's monic multiple; 0 for a zero row."""
