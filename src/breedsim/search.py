@@ -222,7 +222,7 @@ class _SiblingGroup:
         u = t.vectors[kids].astype(np.int64)
         orth_u = t.orthogonal(sel, u)
         gram_u = orth_u.T.astype(np.float32)
-        mu = (self.keys == kids[:, None]).sum(axis=1)
+        mu = (self.keys == kids[:, None]).sum(axis=1, dtype=np.float32)
         # M's nonzero entries: (kid, position in leaves) of each reduced row s _|_ u;
         # only rows zero before u's pivot reduce to a leaf, which pivots after u
         kid_pivots = t.first_nz[kids]
@@ -246,7 +246,9 @@ class _SiblingGroup:
             gram = gram_u @ t.orthogonal(self.sel_f32, rows).astype(np.float32)
             lo, hi = np.searchsorted(pos, [start, start + step])
             mult = np.bincount(kid_of[lo:hi] * len(rows) + pos[lo:hi] - start, minlength=gram.size)
-            ok[:, start : start + len(rows)] &= gram - mu[:, None] == mult.reshape(gram.shape)
+            gram -= mu[:, None]  # in place: exact small integers in float32
+            gram -= mult.reshape(gram.shape)
+            ok[:, start : start + len(rows)] &= gram == 0
         return ok
 
 
