@@ -106,11 +106,13 @@ def kernel(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def reduce_rows(basis: np.ndarray, pivots: List[int], rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduce each row against an RREF basis; row i becomes its canonical coset representative."""
+    """Reduce each row against an RREF basis; row i becomes its canonical coset representative.
+
+    One product: the basis is a unit vector on each pivot column, so
+    subtracting rows[:, pivots] @ basis clears every pivot at once.
+    """
     out = np.asarray(rows, dtype=np.int64) % p
-    for i, c in enumerate(pivots):
-        out = (out - out[:, c : c + 1] * basis[i]) % p
-    return out
+    return (out - out[:, pivots] @ np.asarray(basis, dtype=np.int64)) % p
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -129,10 +131,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for row_i, c in enumerate(pivots):
         x[c] = r[row_i, ncols]
     return x
-
-
-def span_size(dim: int, p: int) -> int:
-    return p**dim
 
 
 def iter_span_batches(basis: np.ndarray, p: int, batch_size: int = 1 << 16):

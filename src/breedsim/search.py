@@ -6,13 +6,12 @@ depths are taken a block of siblings at a time: under a node P, the leaves of
 a child u are the children of P that pivot after u, are zero on u's pivot and
 are orthogonal to u. The distance filter is exact: a finished subspace has
 d >= d_min iff no vector of symplectic weight below d_min lies in the dual
-outside the code. For a block of children it is one Gram product G = O^T O of
-the orthogonality flags O between P's reduced low-weight rows and P's
-children: a leaf c of u passes iff G[u, c] - mu[u] == M[u, c] (see
-``_SiblingGroup``). Node counts are replayed over each block in DFS order, so
-verdicts, counts and witnesses are those of a leaf-by-leaf search. Symplectic
-products are float32 dot products with partner rows, exact because every one
-is an integer below 2^24.
+outside the code: a leaf c of child u passes iff P's reduced low-weight rows
+orthogonal to u and c, counted by one Gram product, all lie on the lines of
+span(u, c) (see ``_SiblingGroup``). Node counts are replayed over each block
+in DFS order, so verdicts, counts and witnesses are those of a leaf-by-leaf
+search. Symplectic products are float32 dot products with partner rows, exact
+because every one is an integer below 2^24.
 """
 
 from __future__ import annotations
@@ -108,8 +107,6 @@ class _VectorTable:
             start += len(batch)
         # vector v sits at index v . radix
         self.radix = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
-        # zero_mod[x]: the exact integer product x is 0 mod p
-        self.zero_mod = np.arange(size * (p - 1) ** 2 + 1) % p == 0
         self.inverse = np.array([0] + [fm.inv_mod(x, p) for x in range(1, p)], dtype=np.int64)
         # after[j + 1] = p^(2n-1-j): the vectors with pivot (first nonzero
         # column) after j are those below it; pivot j fills [after[j + 1], after[j])
@@ -127,7 +124,8 @@ class _VectorTable:
     def orthogonal(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Flags [i, j]: <rows[i], others[j]>_s = 0."""
         products = rows.astype(np.float32, copy=False) @ _partner_rows(others, self.p).T
-        return self.zero_mod[products.astype(np.intp)]
+        multiple = products / self.p  # rint(x / p) * p == x exactly iff p divides x
+        return products == np.multiply(np.rint(multiple, out=multiple), self.p, out=multiple)
 
     def monic_keys(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row's monic multiple; 0 for a zero row."""
@@ -164,25 +162,40 @@ class _SiblingGroup:
     leaves.
 
     The filter is exact. S holds the low-weight rows orthogonal to chosen,
-    reduced against it and nonzero. For a child u and a leaf c with
-    <u, c>_s = 0, reducing by u keeps orthogonality to c, and the nonzero
-    multiples of u in S are orthogonal to both; so chosen + u + c has no
-    vector of weight below d_min in its dual outside its span iff
-    G - mu == M, where G[u, c] = #{s in S: s _|_ u, s _|_ c} is a Gram
-    product, mu[u] = #{s in S: s a multiple of u} and
-    M[u, c] = #{s in S: s _|_ u, s - s[pivot u] u a nonzero multiple of c}.
-    Children and leaves are taken in blocks of about BLOCK_ENTRIES entries.
+    reduced against it, as distinct rows with multiplicity weights w. chosen
+    + u + c has no vector of weight below d_min in its dual outside its span
+    iff each row of S orthogonal to u and c lies on the line of u, of c or of
+    some u + gamma c. With mu[v] the weight of S on the nonzero multiples of a
+    monic v (mu[0] = 0) and G = O_u^T diag(w) O_c a Gram product of
+    orthogonality flags, c passes iff G[u, c] - mu[u] - mu[c] equals the line
+    sum of mu[monic(u + gamma c)], gamma != 0 (0 for the zero child), needed
+    only for a left side in (0, (p - 1) max mu]. Blocks hold ~BLOCK_ENTRIES.
     """
 
     def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
         self.table, self.leaves = table, leaves
         sel = table.low_weight
         if len(pivots) and len(sel):
-            sel = sel[table.orthogonal(sel, chosen).all(axis=1)]
-            sel = fm.reduce_rows(chosen, pivots, sel, table.p)
-            sel = sel[sel.any(axis=1)]  # rows inside span(chosen) never disqualify
-        self.sel, self.sel_f32, self.keys = sel, sel.astype(np.float32), table.monic_keys(sel)
-        self.sel_pivots = np.argmax(sel != 0, axis=1)
+            sel = fm.reduce_rows(chosen, pivots, sel[table.orthogonal(sel, chosen).all(axis=1)], table.p)
+        # rows inside span(chosen) never disqualify: the zero row gets weight 0,
+        # which also makes mu[0] = 0 the first of mu's sorted monic keys
+        idx, weights = np.unique(np.append(sel @ table.radix, 0), return_counts=True)
+        weights[0] = 0
+        self.rows, self.weights = table.vectors[idx].astype(np.float32), weights.astype(np.float32)
+        self.mu_keys, line = np.unique(table.monic_keys(table.vectors[idx]), return_inverse=True)
+        self.mu_values = np.bincount(line, self.weights).astype(np.float32)
+
+    def mu(self, idx: np.ndarray) -> np.ndarray:
+        """The weight of S on the line of each monic vector (or zero) of idx."""
+        pos = np.searchsorted(self.mu_keys, idx, side="right") - 1
+        return np.where(self.mu_keys[pos] == idx, self.mu_values[pos], 0)
+
+    def line_sums(self, kids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Per pair (u, c): the weight of S on the lines of u + gamma c, gamma != 0 (0 for u = 0)."""
+        t = self.table
+        u, c = t.vectors[kids].astype(np.int64), t.vectors[cols].astype(np.int64)
+        total = sum(self.mu(t.monic_keys((u + gamma * c) % t.p)) for gamma in range(1, t.p))
+        return np.where(kids != 0, total, 0)
 
     def ends(self, kids: np.ndarray) -> np.ndarray:
         """How many leaves, from the first, pivot after each child."""
@@ -190,7 +203,7 @@ class _SiblingGroup:
 
     def blocks(self, kids: np.ndarray) -> Iterator[slice]:
         """Consecutive blocks of kids, each as large as its intermediates allow."""
-        ends = np.maximum(self.ends(kids), len(self.sel))
+        ends = np.maximum(self.ends(kids), len(self.rows))
         start = 0
         while start < len(kids):
             # a block of count kids holds count * max(widest prefix, |S|) entries
@@ -217,38 +230,25 @@ class _SiblingGroup:
 
     def survivors(self, kids: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """The leaf candidates cand of kids that pass the distance filter."""
-        t, sel = self.table, self.sel
-        leaves = self.leaves[: cand.shape[1]]
-        u = t.vectors[kids].astype(np.int64)
-        orth_u = t.orthogonal(sel, u)
-        gram_u = orth_u.T.astype(np.float32)
-        mu = (self.keys == kids[:, None]).sum(axis=1, dtype=np.float32)
-        # M's nonzero entries: (kid, position in leaves) of each reduced row s _|_ u;
-        # only rows zero before u's pivot reduce to a leaf, which pivots after u
-        kid_pivots = t.first_nz[kids]
-        kid_of, row_of = np.nonzero(orth_u.T & (self.sel_pivots >= kid_pivots[:, None]))
-        lead = sel[row_of, kid_pivots[kid_of]]
-        red_keys = self.keys[row_of]  # a row zero on u's pivot is its own reduction
-        moved = np.flatnonzero(lead)
-        step = max(1, BLOCK_ENTRIES // (2 * t.n))
-        for start in range(0, len(moved), step):
-            pair = moved[start : start + step]
-            red_keys[pair] = t.monic_keys((sel[row_of[pair]] - lead[pair, None] * u[kid_of[pair]]) % t.p)
-        pos = np.searchsorted(leaves, red_keys)
-        hit = pos < len(leaves)
-        hit[hit] = leaves[pos[hit]] == red_keys[hit]
-        by_pos = np.argsort(pos[hit], kind="stable")
-        kid_of, pos = kid_of[hit][by_pos], pos[hit][by_pos]
-        ok = cand.copy()
-        step = max(1, BLOCK_ENTRIES // max(len(kids), len(sel), 2 * t.n))
-        for start in range(0, len(leaves) if len(kids) else 0, step):
-            rows = t.vectors[leaves[start : start + step]]
-            gram = gram_u @ t.orthogonal(self.sel_f32, rows).astype(np.float32)
-            lo, hi = np.searchsorted(pos, [start, start + step])
-            mult = np.bincount(kid_of[lo:hi] * len(rows) + pos[lo:hi] - start, minlength=gram.size)
-            gram -= mu[:, None]  # in place: exact small integers in float32
-            gram -= mult.reshape(gram.shape)
-            ok[:, start : start + len(rows)] &= gram == 0
+        t = self.table
+        gram_u = t.orthogonal(self.rows, t.vectors[kids]).T * self.weights
+        gram_u[:, 0] = -self.mu(kids)  # the zero row is orthogonal to every leaf
+        bound = np.where(kids != 0, (t.p - 1) * self.mu_values.max(), 0)[:, None]
+        ok = np.zeros_like(cand)
+        step = max(1, BLOCK_ENTRIES // max(len(kids), len(self.rows), 2 * t.n))
+        pair_step = max(1, BLOCK_ENTRIES // (2 * t.n))
+        for start in range(0, cand.shape[1] if len(kids) else 0, step):
+            at = start + np.flatnonzero(cand[:, start : start + step].any(axis=0))  # under some child
+            cols = self.leaves[at]
+            excess = gram_u @ t.orthogonal(self.rows, t.vectors[cols]).astype(np.float32)
+            excess -= self.mu(cols)  # in place: exact small integers in float32
+            block = cand[:, at] & (excess <= bound)
+            # excess >= 0 on leaf candidates; a 1-D nonzero is far faster on sparse flags
+            open_j, open_c = np.divmod(np.flatnonzero(block & (excess != 0)), len(cols))
+            for first in range(0, len(open_j), pair_step):
+                j, c = open_j[first : first + pair_step], open_c[first : first + pair_step]
+                block[j, c] = excess[j, c] == self.line_sums(kids[j], cols[c])
+            ok[:, at] = block
         return ok
 
 

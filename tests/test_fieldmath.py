@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breedsim import fieldmath as fm
 
@@ -114,3 +116,34 @@ def test_span_enumeration_is_complete():
     elems = fm.span_elements(basis, 2)
     assert elems.shape == (4, 3)
     assert len({tuple(r) for r in elems}) == 4
+
+
+def reduce_rows_per_pivot(basis, pivots, rows, p):
+    """Reference: clear one pivot column per pass."""
+    out = np.asarray(rows, dtype=np.int64) % p
+    for i, c in enumerate(pivots):
+        out = (out - out[:, c : c + 1] * basis[i]) % p
+    return out
+
+
+@st.composite
+def reduction_cases(draw):
+    """An RREF basis (possibly empty) over p in {2, 3, 5} and rows to reduce,
+    some of them zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(0, p - 1)
+    gens = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=ncols))
+    r, pivots = fm.rref(np.array(gens, dtype=np.int64).reshape(-1, ncols), p)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=8))
+    rows = np.array(rows + [[0] * ncols] * draw(st.integers(0, 2)), dtype=np.int64).reshape(-1, ncols)
+    return p, r[: len(pivots)], pivots, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_reduce_rows_matches_per_pivot_reference(case):
+    p, basis, pivots, rows = case
+    got = fm.reduce_rows(basis, pivots, rows, p)
+    assert np.array_equal(got, reduce_rows_per_pivot(basis, pivots, rows, p))
+    assert not got[:, pivots].any()

@@ -348,3 +348,81 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
             for col in cols[:: max(1, len(cols) // 6)]:
                 code = StabilizerCode(p, n, list(rows) + [table.vectors[leaves[col]]])
                 assert kid_ok[col] == (code.distance >= d_min), table.vectors[leaves[col]]
+
+
+def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
+    """Filter every leaf pair under the RREF rows chosen_rows, in blocks, and
+    compare about samples of the candidate pairs with the exact distance.
+    Returns the group, the number of pairs that needed a line sum and the
+    (passed, failed) counts of the pairs checked."""
+    chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
+    if chosen_rows:
+        basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in chosen_rows]), p)
+        chosen = basis[: len(pivots)]
+    table = search._VectorTable(p, n, d_min)
+    leaves = table.candidates(chosen, pivots)
+    group = search._SiblingGroup(table, chosen, pivots, leaves)
+    opened = []
+    line_sums = group.line_sums
+    monkeypatch.setattr(group, "line_sums", lambda kids, cols: opened.append(len(kids)) or line_sums(kids, cols))
+    results = {True: 0, False: 0}
+    stride = None
+    for block in group.blocks(leaves):
+        kids = leaves[block]
+        cand = group.leaf_candidates(kids)
+        ok = group.survivors(kids, cand)
+        pairs = np.argwhere(cand)
+        stride = stride or max(1, len(pairs) * len(leaves) // (samples * len(kids)))
+        for j, col in pairs[::stride]:
+            code = StabilizerCode(p, n, list(chosen) + [table.vectors[kids[j]], table.vectors[leaves[col]]])
+            assert ok[j, col] == (code.distance >= d_min), (kids[j], leaves[col])
+            results[bool(ok[j, col])] += 1
+    return group, sum(opened), results
+
+
+def test_sibling_group_with_repeated_reduced_rows(monkeypatch):
+    # under X_1 X_2 2Z_2 over F_3, weight-1 rows such as X_1 and 2 X_2 Z_2 reduce to one row
+    group, opened, results = check_sibling_group(3, 4, 2, ["1100|0200"], 400, monkeypatch)
+    assert group.weights.max() > 1
+    assert opened > 0
+    assert results[True] > 0 and results[False] > 0
+
+
+def test_sibling_group_line_sums_at_the_532_root(monkeypatch):
+    # the root group of the [[5,3,2]]_2 certificate: the bound leaves pairs open
+    group, opened, results = check_sibling_group(2, 5, 2, [], 400, monkeypatch)
+    assert opened > 0
+    assert results[False] > 0
+
+
+def test_zero_child_line_sum_is_zero():
+    # m = 1: span(0, c) is the line of c alone, so no other line adds weight
+    table = search._VectorTable(3, 2, 2)
+    leaves = table.candidates(np.zeros((0, 4), dtype=np.int64), [])
+    group = search._SiblingGroup(table, np.zeros((0, 4), dtype=np.int64), [], leaves)
+    assert group.mu(leaves).max() > 0
+    assert not group.line_sums(np.zeros(len(leaves), dtype=np.int64), leaves).any()
+    assert group.line_sums(leaves[:1].repeat(len(leaves) - 1), leaves[1:]).any()
+    check_leaf_filter(3, 2, [], 2)
+
+
+@pytest.mark.parametrize("p, n, d_min, chosen_rows", [(3, 4, 3, ["0100|0112"]), (5, 2, 3, [])])
+def test_line_sums_match_the_span_by_enumeration(p, n, d_min, chosen_rows):
+    # the weight of S on span(u, c) off the lines of u and c, counted vector by vector
+    chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
+    if chosen_rows:
+        basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in chosen_rows]), p)
+        chosen = basis[: len(pivots)]
+    table = search._VectorTable(p, n, d_min)
+    leaves = table.candidates(chosen, pivots)
+    group = search._SiblingGroup(table, chosen, pivots, leaves)
+    weight = dict(zip((group.rows.astype(np.int64) @ table.radix).tolist(), group.weights.tolist()))
+    kids = np.concatenate([[0], leaves])
+    cand = group.leaf_candidates(kids)
+    j, c = np.nonzero(cand)
+    got = group.line_sums(kids[j], leaves[c])
+    for u, v, total in zip(table.vectors[kids[j]].astype(np.int64), table.vectors[leaves[c]], got):
+        span = {int((a * u + b * v) % p @ table.radix) for a in range(p) for b in range(p)}
+        lines = {int(a * w % p @ table.radix) for a in range(p) for w in (u, v)}
+        assert total == sum(weight.get(x, 0) for x in span - lines)
+    assert got.any() and not got[kids[j] == 0].any()
