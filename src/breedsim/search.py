@@ -165,11 +165,11 @@ class _SiblingGroup:
     reduced against it, as distinct rows with multiplicity weights w. chosen
     + u + c has no vector of weight below d_min in its dual outside its span
     iff each row of S orthogonal to u and c lies on the line of u, of c or of
-    some u + gamma c. With mu[v] the weight of S on the nonzero multiples of a
-    monic v (mu[0] = 0) and G = O_u^T diag(w) O_c a Gram product of
-    orthogonality flags, c passes iff G[u, c] - mu[u] - mu[c] equals the line
-    sum of mu[monic(u + gamma c)], gamma != 0 (0 for the zero child), needed
-    only for a left side in (0, (p - 1) max mu]. Blocks hold ~BLOCK_ENTRIES.
+    some u + gamma c. With mu[v] the weight of S on the nonzero multiples of
+    a monic v (mu[0] = 0), c passes iff G[u, c] - mu[u] - mu[c], G the Gram
+    product O_u^T diag(w) O_c of orthogonality flags, equals the line sum of
+    mu[monic(u + gamma c)], gamma != 0 (0 for the zero child); only a left
+    side in (0, (p - 1) max mu] needs it. Blocks hold ~BLOCK_ENTRIES entries.
     """
 
     def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
@@ -232,7 +232,7 @@ class _SiblingGroup:
         """The leaf candidates cand of kids that pass the distance filter."""
         t = self.table
         gram_u = t.orthogonal(self.rows, t.vectors[kids]).T * self.weights
-        gram_u[:, 0] = -self.mu(kids)  # the zero row is orthogonal to every leaf
+        gram_u[:, 0] = -self.mu(kids)  # the zero row is orthogonal to every leaf: it subtracts mu[u]
         bound = np.where(kids != 0, (t.p - 1) * self.mu_values.max(), 0)[:, None]
         ok = np.zeros_like(cand)
         step = max(1, BLOCK_ENTRIES // max(len(kids), len(self.rows), 2 * t.n))

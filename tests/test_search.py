@@ -350,21 +350,32 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
                 assert kid_ok[col] == (code.distance >= d_min), table.vectors[leaves[col]]
 
 
-def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
-    """Filter every leaf pair under the RREF rows chosen_rows, in blocks, and
-    compare about samples of the candidate pairs with the exact distance.
-    Returns the group, the number of pairs that needed a line sum and the
-    (passed, failed) counts of the pairs checked."""
+def group_under(p, n, d_min, chosen_rows):
+    """The sibling group, over all of its children, under the RREF basis of
+    the rows chosen_rows (symplectic strings)."""
     chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
     if chosen_rows:
         basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in chosen_rows]), p)
         chosen = basis[: len(pivots)]
     table = search._VectorTable(p, n, d_min)
     leaves = table.candidates(chosen, pivots)
-    group = search._SiblingGroup(table, chosen, pivots, leaves)
-    opened = []
-    line_sums = group.line_sums
-    monkeypatch.setattr(group, "line_sums", lambda kids, cols: opened.append(len(kids)) or line_sums(kids, cols))
+    return search._SiblingGroup(table, chosen, pivots, leaves), chosen
+
+
+def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
+    """Filter every leaf pair under the rows chosen_rows, in blocks, and
+    compare about samples of the candidate pairs with the exact distance.
+    Returns the group, the number of pairs that needed a line sum and the
+    (passed, failed) counts of the pairs checked."""
+    group, chosen = group_under(p, n, d_min, chosen_rows)
+    table, leaves = group.table, group.leaves
+    opened, line_sums = [], group.line_sums
+
+    def counted_line_sums(kids, cols):
+        opened.append(len(kids))
+        return line_sums(kids, cols)
+
+    monkeypatch.setattr(group, "line_sums", counted_line_sums)
     results = {True: 0, False: 0}
     stride = None
     for block in group.blocks(leaves):
@@ -397,9 +408,8 @@ def test_sibling_group_line_sums_at_the_532_root(monkeypatch):
 
 def test_zero_child_line_sum_is_zero():
     # m = 1: span(0, c) is the line of c alone, so no other line adds weight
-    table = search._VectorTable(3, 2, 2)
-    leaves = table.candidates(np.zeros((0, 4), dtype=np.int64), [])
-    group = search._SiblingGroup(table, np.zeros((0, 4), dtype=np.int64), [], leaves)
+    group, _ = group_under(3, 2, 2, [])
+    leaves = group.leaves
     assert group.mu(leaves).max() > 0
     assert not group.line_sums(np.zeros(len(leaves), dtype=np.int64), leaves).any()
     assert group.line_sums(leaves[:1].repeat(len(leaves) - 1), leaves[1:]).any()
@@ -409,13 +419,8 @@ def test_zero_child_line_sum_is_zero():
 @pytest.mark.parametrize("p, n, d_min, chosen_rows", [(3, 4, 3, ["0100|0112"]), (5, 2, 3, [])])
 def test_line_sums_match_the_span_by_enumeration(p, n, d_min, chosen_rows):
     # the weight of S on span(u, c) off the lines of u and c, counted vector by vector
-    chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
-    if chosen_rows:
-        basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in chosen_rows]), p)
-        chosen = basis[: len(pivots)]
-    table = search._VectorTable(p, n, d_min)
-    leaves = table.candidates(chosen, pivots)
-    group = search._SiblingGroup(table, chosen, pivots, leaves)
+    group, _ = group_under(p, n, d_min, chosen_rows)
+    table, leaves = group.table, group.leaves
     weight = dict(zip((group.rows.astype(np.int64) @ table.radix).tolist(), group.weights.tolist()))
     kids = np.concatenate([[0], leaves])
     cand = group.leaf_candidates(kids)
