@@ -7,7 +7,9 @@ Distance, purity and decoding scan symplectic-weight classes w = 0, 1, 2, ...
 (``symplectic.support_vectors``) and stop at the first class that settles the
 answer, so their cost follows the few low weights that matter, not the size
 of a span. The decoder is exact: minimum symplectic weight outside the erased
-positions, ties broken by the lexicographically smallest (a|b) tuple. Each
+positions, ties broken by the lexicographically smallest (a|b) tuple. Its
+leaders, for every erased set, sit in one cache keyed by (erased set,
+syndrome), and each decode call builds what its rows lack in one pass. Each
 scan counts the class vectors it would generate and raises FeasibilityError
 before generating past ENUM_CAP.
 """
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +38,13 @@ class FeasibilityError(RuntimeError):
 
 #: most weight-class vectors one distance scan, or one erased set's decoder, generates
 ENUM_CAP = 1 << 22
+
+#: most entries (rows x 2n) one decoder build step generates for the erased
+#: sets that share a weight class; a larger class takes a step of its own
+BUILD_ENTRIES = 1 << 16
+
+#: decoder cache key; two fields, so (erased set, syndrome) cannot overflow one int64
+PAIR = np.dtype([("erased", np.int64), ("syndrome", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -74,9 +83,14 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        # erased set -> (sorted syndrome keys, their leaders, next live weight,
-        # class vectors generated so far)
-        self._leaders: dict = {}
+        # the decoder cache: sorted (erased-set id, syndrome key) pairs and
+        # their leaders; per erased set, its id and (next live weight, class
+        # vectors generated so far)
+        self._pair_keys = np.empty(0, dtype=PAIR)
+        self._leaders = np.empty((0, 2 * n), dtype=np.uint8)
+        self._erased_ids: dict = {}
+        self._erased_sets: list = []
+        self._progress: list = []
 
     @cached_property
     def dual(self) -> sp.SympSubspace:
@@ -133,80 +147,142 @@ class StabilizerCode:
     def decode_table(self) -> np.ndarray:
         return self._decode_table
 
-    def decode(self, syndromes, erased: Iterable[int] = frozenset()) -> np.ndarray:
+    def decode(self, syndromes, erased: Union[Iterable[int], np.ndarray] = frozenset()) -> np.ndarray:
         """Minimum-weight error estimate for one syndrome, or for each row of a
         (rows, dim C) batch.
 
-        Weight is counted only outside the erased positions; erased positions
-        may carry arbitrary content. Ties go to the lexicographically smallest
-        (a|b) tuple. Leaders are cached per erased set; a call with syndromes
-        not decoded before extends that cache through ``_decode_by_coset``.
-        Refuses a code whose p^dim(C) syndrome keys would overflow int64.
+        ``erased`` gives each row its erased set: a (rows, n) boolean mask, or
+        positions that every row shares. Weight is counted only outside a
+        row's erased positions, which may carry arbitrary content. Ties go to
+        the lexicographically smallest (a|b) tuple. Leaders of every erased
+        set sit in one cache keyed by (erased set, syndrome); a call with
+        pairs not decoded before extends it through one ``_decode_by_coset``
+        call. Refuses a code whose p^dim(C) syndrome keys would overflow int64.
         """
         p, n, m = self.p, self.n, self.stab.dim
         syndromes = np.asarray(syndromes, dtype=np.int64) % p
         rows = np.atleast_2d(syndromes)
         if rows.ndim != 2 or rows.shape[1] != m:
             raise ValueError(f"syndrome must have length {m}")
-        erased = frozenset(int(i) for i in erased)
-        if any(i < 0 or i >= n for i in erased):
-            raise ValueError(f"erased positions out of range for n={n}")
+        if isinstance(erased, np.ndarray) and erased.dtype == bool:
+            mask = np.atleast_2d(erased)
+            if mask.shape != (len(rows), n):
+                raise ValueError(f"erasure mask must have shape ({len(rows)}, {n})")
+        else:
+            positions = sorted({int(i) for i in erased})
+            if any(i < 0 or i >= n for i in positions):
+                raise ValueError(f"erased positions out of range for n={n}")
+            mask = np.zeros((1, n), dtype=bool)
+            mask[0, positions] = True
+            mask = np.broadcast_to(mask, (len(rows), n))
         if p**m >= 1 << 63:
             raise FeasibilityError(f"{p}^{m} syndromes overflow the int64 syndrome keys")
-        keys, inverse = np.unique(rows @ self._syndrome_radix, return_inverse=True)
-        entry = self._leaders.get(erased)
-        if entry is None or not np.isin(keys, entry[0], assume_unique=True).all():
-            entry = self._decode_by_coset(keys, erased)
-        known, leaders = entry[:2]
-        decoded = leaders[np.searchsorted(known, keys)][inverse.reshape(-1)]
+        wanted, inverse = self._pairs(mask, rows @ self._syndrome_radix)
+        at, cached = self._find(wanted)
+        if not cached.all():
+            self._decode_by_coset(wanted[~cached])
+            at = np.searchsorted(self._pair_keys, wanted)
+        decoded = self._leaders[at[inverse]].astype(np.int64)
         return decoded[0] if syndromes.ndim == 1 else decoded
 
-    def _decode_by_coset(self, keys: np.ndarray, erased: FrozenSet[int]) -> tuple:
-        """Extend the leader cache of one erased set until it holds every
-        syndrome key in keys; returns its cache entry.
+    def _pairs(self, mask: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct (erased-set id, syndrome key) pairs of the rows, as a
+        PAIR array, and the index of each row's pair in it."""
+        words = _radix_words(mask, 2)
+        order = np.lexsort((keys, *words))
+        keys = keys[order]
+        new_set = np.zeros(len(order), dtype=bool)
+        new_set[:1] = True
+        for word in words:
+            word = word[order]
+            new_set[1:] |= word[1:] != word[:-1]
+        new_pair = new_set.copy()
+        new_pair[1:] |= keys[1:] != keys[:-1]
+        ids = np.array([self._erased_id(mask[r]) for r in order[new_set]], dtype=np.int64)
+        pairs = np.empty(int(new_pair.sum()), dtype=PAIR)
+        pairs["erased"] = ids[np.cumsum(new_set) - 1][new_pair]
+        pairs["syndrome"] = keys[new_pair]
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(new_pair) - 1
+        return pairs, inverse
 
-        Generates live-weight classes w = 0, 1, ...: w nonzero pairs off the
-        erased set, every one of the p^(2e) contents on it, resuming after the
-        last class generated for this erased set. A syndrome first met in
-        class w has no vector of lower live weight, so the lex-smallest row of
-        the class with that syndrome is its exact leader. Each class is taken
-        in blocks and the per-syndrome minima are merged across blocks.
-        Refused before generating a class that would take the vectors
-        generated for this erased set past ENUM_CAP.
+    def _erased_id(self, row: np.ndarray) -> int:
+        """Id of the erased set a mask row flags; a new set starts at live weight 0."""
+        erased = tuple(np.flatnonzero(row).tolist())
+        if erased not in self._erased_ids:
+            self._erased_ids[erased] = len(self._erased_sets)
+            self._erased_sets.append(erased)
+            self._progress.append((0, 0))
+        return self._erased_ids[erased]
+
+    def _find(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per pair: its position in the sorted cache, and whether it is there."""
+        at = np.searchsorted(self._pair_keys, pairs)
+        cached = at < len(self._pair_keys)
+        found, pairs = self._pair_keys[at[cached]], pairs[cached]
+        cached[cached] = (found["erased"] == pairs["erased"]) & (found["syndrome"] == pairs["syndrome"])
+        return at, cached
+
+    def _decode_by_coset(self, wanted: np.ndarray) -> None:
+        """Extend the leader cache until it holds every pair of the PAIR array wanted.
+
+        Each erased set still missing a syndrome gains its next live-weight
+        class w: w nonzero pairs off the erased set, every one of the p^(2e)
+        contents on it, resuming after the last class generated for that set.
+        A syndrome first met in class w has no vector of lower live weight, so
+        the lex-smallest row of the class with that syndrome is its exact
+        leader. The sets that share (e, w) are built together, as many per
+        step as fit BUILD_ENTRIES, and per-pair minima are merged across the
+        blocks of a step. A set is refused before generating a class that
+        would take the vectors generated for it past ENUM_CAP.
         """
         p, n = self.p, self.n
-        empty = (keys[:0], np.zeros((0, 2 * n), dtype=np.int64), 0, 0)
-        known, leaders, w, generated = self._leaders.get(erased, empty)
-        free = sorted(erased)
-        live = [i for i in range(n) if i not in erased]
+        q = p * p
+        max_rows = max(1, BUILD_ENTRIES // (2 * n))
+        while len(wanted):
+            classes: dict = {}
+            for s in sorted(set(wanted["erased"].tolist())):
+                erased, (w, generated) = self._erased_sets[s], self._progress[s]
+                size = comb(n - len(erased), w) * (q - 1) ** w * q ** len(erased)
+                if generated + size > ENUM_CAP:
+                    raise FeasibilityError(
+                        f"decoding with {len(erased)} erased positions enumerates "
+                        f"{generated + size} weight-class vectors through weight {w}, "
+                        f"over cap {ENUM_CAP}"
+                    )
+                classes.setdefault((len(erased), w, size), []).append(s)
+            for (e, w, size), sets in sorted(classes.items()):
+                per_step = max(1, max_rows // size)
+                for start in range(0, len(sets), per_step):
+                    self._add_class(sets[start : start + per_step], e, w, size)
+            wanted = wanted[~self._find(wanted)[1]]
+
+    def _add_class(self, sets: list, e: int, w: int, size: int) -> None:
+        """Generate live-weight class w of each erased set of size e in sets
+        (size vectors each) and cache the leaders it gives."""
+        p, n = self.p, self.n
+        supports = [
+            erased + tail
+            for erased in (self._erased_sets[s] for s in sets)
+            for tail in itertools.combinations([i for i in range(n) if i not in erased], w)
+        ]
+        owners = np.asarray(sets, dtype=np.int64)
         check = self._syndrome_matrix.T
-        while not np.isin(keys, known, assume_unique=True).all():
-            generated += comb(len(live), w) * (p * p - 1) ** w * p ** (2 * len(free))
-            if generated > ENUM_CAP:
-                raise FeasibilityError(
-                    f"decoding with {len(free)} erased positions enumerates {generated} "
-                    f"weight-class vectors through weight {w}, over cap {ENUM_CAP}"
-                )
-            supports = (
-                head + tail
-                for e in range(len(free) + 1)
-                for head in itertools.combinations(free, e)
-                for tail in itertools.combinations(live, w)
-            )
-            found = [
-                _lex_first(block @ check % p @ self._syndrome_radix, block)
-                for block in sp.support_vectors(n, p, supports)
-            ]
-            found_keys, found_rows = _lex_first(
-                np.concatenate([k for k, _ in found]), np.vstack([r for _, r in found])
-            )
-            fresh = ~np.isin(found_keys, known, assume_unique=True)
-            known = np.concatenate([known, found_keys[fresh]])
-            leaders = np.vstack([leaders, found_rows[fresh]])
-            order = np.argsort(known)
-            known, leaders, w = known[order], leaders[order], w + 1
-            self._leaders[erased] = known, leaders, w, generated
-        return self._leaders[erased]
+        found, done = None, 0
+        for block in sp.support_vectors(n, p, supports, free=e):
+            owner = owners[(done + np.arange(len(block))) // size]
+            done += len(block)
+            step = _lex_first(owner, block @ check % p @ self._syndrome_radix, block, p)
+            if found is not None:
+                step = _lex_first(*(np.concatenate(pair) for pair in zip(found, step)), p)
+            found = step
+        pairs = np.empty(len(found[0]), dtype=PAIR)
+        pairs["erased"], pairs["syndrome"] = found[:2]
+        at, cached = self._find(pairs)
+        self._pair_keys = np.insert(self._pair_keys, at[~cached], pairs[~cached])
+        self._leaders = np.insert(self._leaders, at[~cached], found[2][~cached].astype(np.uint8), axis=0)
+        for s in sets:
+            self._progress[s] = (w + 1, self._progress[s][1] + size)
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
         """Canonical C-coset representative of each row (the zero row for rows in C)."""
@@ -225,13 +301,25 @@ class StabilizerCode:
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
 
 
-def _lex_first(keys: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct keys, the lexicographically smallest row with each key)."""
-    order = np.lexsort((*rows.T[::-1], keys))
-    keys, rows = keys[order], rows[order]
+def _radix_words(digits: np.ndarray, base: int) -> list:
+    """Each row of base-``base`` digits as int64 numbers of at most 62 bits,
+    the first for the leading columns: sorting by them sorts the rows
+    lexicographically."""
+    width = max(1, 62 // base.bit_length())
+    return [
+        digits[:, i : i + width] @ base ** np.arange(min(width, digits.shape[1] - i) - 1, -1, -1, dtype=np.int64)
+        for i in range(0, digits.shape[1], width)
+    ]
+
+
+def _lex_first(sets: np.ndarray, keys: np.ndarray, rows: np.ndarray, p: int) -> Tuple[np.ndarray, ...]:
+    """(distinct (set, key) pairs in sorted order as two arrays, the
+    lexicographically smallest row with each pair)."""
+    order = np.lexsort((*_radix_words(rows, p)[::-1], keys, sets))
+    sets, keys, rows = sets[order], keys[order], rows[order]
     first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first], rows[first]
+    first[1:] = (keys[1:] != keys[:-1]) | (sets[1:] != sets[:-1])
+    return sets[first], keys[first], rows[first]
 
 
 def min_weight_outside(

@@ -6,8 +6,9 @@ compute the combined syndrome against the extended code, decode (with
 erasure knowledge), and ask whether the residual lies in the stabilizer.
 
 ``run_protocol`` is the one kernel for that step. It takes one error vector
-or a batch of rows sharing an erased set; guarantee verification, Monte Carlo
-simulation and the exact oracle all run their rows through it.
+or a batch of rows, each row with its own erased set (or one set for all);
+guarantee verification, Monte Carlo simulation and the exact oracle all run
+their rows through it, one call per block of rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, sqrt
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,15 +31,21 @@ CHUNK = 10_000
 
 @dataclass(frozen=True)
 class ErrorPattern:
-    """A symplectic error (one 2n-vector, or a batch of rows) plus the erased set."""
+    """A symplectic error (one 2n-vector, or a batch of rows) plus what is erased:
+    one set of positions for every row, or a boolean mask with one row of n
+    flags per error row."""
 
     error: np.ndarray
-    erased: FrozenSet[int] = frozenset()
+    erased: Union[FrozenSet[int], np.ndarray] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "error", np.asarray(self.error, dtype=np.int64))
-        object.__setattr__(self, "erased", frozenset(int(i) for i in self.erased))
         self.error.setflags(write=False)
+        if isinstance(self.erased, np.ndarray) and self.erased.dtype == bool:
+            object.__setattr__(self, "erased", self.erased.view())
+            self.erased.setflags(write=False)
+        else:
+            object.__setattr__(self, "erased", frozenset(int(i) for i in self.erased))
 
 
 @dataclass(frozen=True)
@@ -147,15 +154,17 @@ class ExactFidelity:
 def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> None:
     code = spec.extended_code
     n = code.n
-    err = pattern.error
+    err, erased = pattern.error, pattern.erased
     if err.ndim not in (1, 2) or err.shape[-1] != 2 * n:
         raise ValueError(f"error vector must have length {2 * n}")
+    if isinstance(erased, np.ndarray) and erased.shape != err.shape[:-1] + (n,):
+        raise ValueError(f"erasure mask must have shape {err.shape[:-1] + (n,)}")
     for i in spec.ebit_positions:
         if np.any(err[..., i]) or np.any(err[..., n + i]):
             raise ValueError(f"preshared pair at position {i} cannot carry an error")
-        if i in pattern.erased:
+        if np.any(erased[..., i]) if isinstance(erased, np.ndarray) else i in erased:
             raise ValueError(f"preshared pair at position {i} cannot be erased")
-    if not pattern.erased <= set(spec.noisy_positions):
+    if not isinstance(erased, np.ndarray) and not erased <= set(spec.noisy_positions):
         raise ValueError("erased positions must be noisy positions")
 
 
@@ -164,7 +173,8 @@ def run_protocol(
     pattern: ErrorPattern,
     postselect: PostSelect = KEEP_ALL,
 ) -> ProtocolOutcome:
-    """Protocol execution against one error vector or a batch of error rows."""
+    """Protocol execution against one error vector or a batch of error rows,
+    each row decoded with its own erased set (``pattern.erased``)."""
     _check_pattern(spec, pattern)
     code = spec.extended_code
     errors = np.atleast_2d(pattern.error) % code.p
@@ -226,16 +236,29 @@ def verify_guarantee(
             f"guarantee verification enumerates {work} weight-class vectors, over cap {ENUM_CAP}"
         )
 
+    # rows come per (e, t) in the order (erased set, error support, contents);
+    # each block of rows is one kernel call with a per-row erasure mask
     patterns = 0
     for e, ts in weights.items():
-        for t, erased in itertools.product(ts, itertools.combinations(noisy, e)):
-            rest = [i for i in noisy if i not in erased]
-            supports = (erased + err for err in itertools.combinations(rest, t))
+        erased_sets = list(itertools.combinations(noisy, e))
+        masks = np.zeros((len(erased_sets), n), dtype=bool)
+        for j, erased in enumerate(erased_sets):
+            masks[j, list(erased)] = True
+        for t in ts:
+            supports = (
+                erased + err
+                for erased in erased_sets
+                for err in itertools.combinations([i for i in noisy if i not in erased], t)
+            )
+            per_set = comb(m - e, t) * (q - 1) ** (e + t)
+            done = 0
             for rows in sp.support_vectors(n, code.p, supports):
-                failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, erased)).success)
+                owner = (done + np.arange(len(rows))) // per_set
+                done += len(rows)
+                failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, masks[owner])).success)
                 if len(failed):
                     first = int(failed[0])
-                    counterexample = ErrorPattern(rows[first].copy(), erased)
+                    counterexample = ErrorPattern(rows[first].copy(), erased_sets[owner[first]])
                     return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
                 patterns += len(rows)
     return GuaranteeCertificate(True, patterns, d)
@@ -292,17 +315,11 @@ def _sample_chunk(
 def _simulate_chunk(args) -> Tuple[int, int]:
     spec, channel, seed, start, stop, postselect = args
     errors, erased = _sample_chunk(spec, channel, seed, start, stop)
-    noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
-    # one kernel call per distinct erasure mask, grouped by the mask read as an integer
-    keys = erased @ (1 << np.arange(len(noisy), dtype=np.int64))
-    successes = discards = 0
-    for key in np.unique(keys):
-        group = keys == key
-        erased_set = frozenset(noisy[erased[np.argmax(group)]].tolist())
-        outcome = run_protocol(spec, ErrorPattern(errors[group], erased_set), postselect)
-        successes += int(np.sum(outcome.success & ~outcome.discarded))
-        discards += int(np.sum(outcome.discarded))
-    return successes, discards
+    mask = np.zeros((len(errors), spec.extended_code.n), dtype=bool)
+    mask[:, list(spec.noisy_positions)] = erased
+    outcome = run_protocol(spec, ErrorPattern(errors, mask), postselect)
+    successes = int(np.sum(outcome.success & ~outcome.discarded))
+    return successes, int(np.sum(outcome.discarded))
 
 
 def simulate(

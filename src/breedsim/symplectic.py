@@ -7,6 +7,7 @@ are the X-part, the last n the Z-part. Position indices are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -76,32 +77,39 @@ def symp_weights(mat: np.ndarray) -> np.ndarray:
     return np.count_nonzero((mat[:, :n] != 0) | (mat[:, n:] != 0), axis=1)
 
 
-def support_vectors(n: int, p: int, supports: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
+def support_vectors(
+    n: int, p: int, supports: Iterable[Sequence[int]], free: int = 0
+) -> Iterator[np.ndarray]:
     """Every vector of F_p^{2n} whose nonzero pairs (a_i, b_i) are exactly one
     of the given supports, in blocks of at most BLOCK_ENTRIES entries.
 
-    Rows follow the supports in the order given, then the contents in product
-    order over the p^2 - 1 nonzero (a, b) values, a support's first listed
-    position being the most significant. A support of size s gives
-    (p^2 - 1)^s rows; a block never mixes supports of different sizes.
+    The first ``free`` positions of every support take every (a, b), zero
+    included, so they need not be nonzero. Rows follow the supports in the
+    order given, then the contents in product order over the (a, b) values in
+    lex order, a support's first listed position being the most significant.
+    A support of size s gives p^(2 free) (p^2 - 1)^(s - free) rows; a block
+    never mixes supports of different sizes.
     """
-    # the nonzero (a, b) in lex order are the base-p digits of 1 .. p^2 - 1
-    a_of, b_of = np.divmod(np.arange(1, p * p), p)
+    q = p * p
     max_rows = max(1, BLOCK_ENTRIES // (2 * n))
     for size, group in itertools.groupby(supports, len):
         group = list(group)
         pos = np.array(group, dtype=np.int64).reshape(len(group), size)
-        # row r holds support r // (p^2 - 1)^size, whose contents are the
-        # remaining base-(p^2 - 1) digits of r
-        shape = (len(pos),) + (p * p - 1,) * size
-        total = len(pos) * (p * p - 1) ** size
+        # row r holds support r // place[0]; its content digits are the rest
+        # of r in mixed radix, and a nonzero position's values start at 1, so
+        # (a, b) are the base-p digits of digit + offset
+        bases = [q] * free + [q - 1] * (size - free)
+        place = np.array([math.prod(bases[j:]) for j in range(size + 1)], dtype=np.int64)
+        offset = np.array([0] * free + [1] * (size - free), dtype=np.int64)
+        total = len(pos) * int(place[0])
         for start in range(0, total, max_rows):
-            support, *digits = np.unravel_index(np.arange(start, min(start + max_rows, total)), shape)
-            digits = np.array(digits, dtype=np.intp).reshape(size, len(support)).T
-            at = np.arange(len(support))[:, None]
-            block = np.zeros((len(support), 2 * n), dtype=np.int64)
-            block[at, pos[support]] = a_of[digits]
-            block[at, n + pos[support]] = b_of[digits]
+            r = np.arange(start, min(start + max_rows, total), dtype=np.int64)
+            a, b = np.divmod(r[:, None] // place[1:] % bases + offset, p)
+            cols = pos[r // place[0]]
+            at = np.arange(len(r))[:, None]
+            block = np.zeros((len(r), 2 * n), dtype=np.int64)
+            block[at, cols] = a
+            block[at, n + cols] = b
             yield block
 
 

@@ -12,6 +12,7 @@ from breedsim.engine import (
     ErrorPattern,
     PostSelect,
     _sample_chunk,
+    _simulate_chunk,
     exact_fidelity,
     run_protocol,
     simulate,
@@ -94,6 +95,18 @@ class TestRunProtocol:
     def test_error_on_ebit_position_rejected(self, breeding_spec):
         with pytest.raises(ValueError, match="preshared"):
             run_protocol(breeding_spec, ErrorPattern(v("000001|000000")))
+
+    def test_erasure_mask_is_checked(self, breeding_spec):
+        errors = np.zeros((3, 12), dtype=np.int64)
+        mask = np.zeros((3, 6), dtype=bool)
+        mask[1, 5] = True
+        with pytest.raises(ValueError, match="cannot be erased"):
+            run_protocol(breeding_spec, ErrorPattern(errors, mask))
+        with pytest.raises(ValueError, match="shape"):
+            run_protocol(breeding_spec, ErrorPattern(errors, np.zeros((2, 6), dtype=bool)))
+        mask[1, 5], mask[2, 0] = False, True
+        out = run_protocol(breeding_spec, ErrorPattern(errors, mask))
+        assert out.success.all()
 
     def test_erasure_on_ebit_position_rejected(self, breeding_spec):
         with pytest.raises(ValueError, match="preshared"):
@@ -236,6 +249,26 @@ class TestSimulate:
         # single erasures are always corrected (d = 2); with >= 2 erasures the
         # trial may fail, so fidelity is at least P(<= 1 erasure) ~ 0.74
         assert 0.7 < report.fidelity_estimate <= 1.0
+
+    @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:1"])
+    @pytest.mark.parametrize("which", ["breeding", "qutrit"])
+    def test_chunk_matches_one_call_per_erased_set(self, breeding_spec, qutrit_spec, which, policy):
+        spec = breeding_spec if which == "breeding" else qutrit_spec
+        p = spec.extended_code.p
+        post = PostSelect.parse(policy)
+        args = (spec, Channel(p, 0.2, erasure=0.3), 6, CHUNK, CHUNK + 3000, post)
+        # reference: the trials grouped by erased set, one kernel call per group
+        errors, erased = _sample_chunk(*args[:5])
+        noisy = np.asarray(spec.noisy_positions)
+        successes = discards = 0
+        groups = {frozenset(noisy[row].tolist()) for row in erased}
+        assert len(groups) > 4
+        for group in groups:
+            rows = np.array([frozenset(noisy[row].tolist()) == group for row in erased])
+            out = run_protocol(spec, ErrorPattern(errors[rows], group), post)
+            successes += int(np.sum(out.success & ~out.discarded))
+            discards += int(np.sum(out.discarded))
+        assert _simulate_chunk(args) == (successes, discards)
 
 
 class TestSampleChunk:

@@ -6,6 +6,7 @@ subspaces over p in {2, 3, 5}, small enough that F_p^{2n} can be listed.
 """
 
 import itertools
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from breedsim import codes
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure, eaqecc_distance
 from breedsim.catalog import builtin_catalog
-from breedsim.codes import StabilizerCode
+from breedsim.codes import FeasibilityError, StabilizerCode
 from breedsim.engine import ErrorPattern, PostSelect, run_protocol, verify_guarantee
 
 #: largest subspace length per field, so that p^(2(n + c)) stays at most 2^14
@@ -42,7 +44,8 @@ def extended_codes(draw):
 
 @st.composite
 def protocols(draw):
-    """A breeding spec built from a random subspace, plus random error rows and an erased set."""
+    """A breeding spec built from a random subspace, plus random error rows and
+    one erased set per row: the same set for every row, or sets mixed across rows."""
     code, n, c = draw(extended_codes())
     p = code.p
     spec = BreedingProtocolSpec(
@@ -54,8 +57,20 @@ def protocols(draw):
     )
     errors = np.zeros((rows, 2 * code.n), dtype=np.int64)
     errors[:, list(range(n)) + list(range(code.n, code.n + n))] = np.reshape(noisy, (rows, 2 * n))
-    erased = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    erased_set = st.frozensets(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        erased = [draw(erased_set)] * rows
+    else:
+        erased = draw(st.lists(erased_set, min_size=rows, max_size=rows))
     return spec, errors, erased
+
+
+def erasure_mask(sets, n):
+    """(rows, n) boolean mask with row i flagging the positions of sets[i]."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    for row, erased in zip(mask, sets):
+        row[list(erased)] = True
+    return mask
 
 
 def all_syndromes(code):
@@ -145,6 +160,30 @@ def test_support_vectors_order(p, n, data):
     assert np.array_equal(got, np.reshape(expected, (-1, 2 * n)))
 
 
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.integers(1, 4), st.data())
+def test_support_vectors_free_positions(p, n, data):
+    free = data.draw(st.integers(0, min(n, 2)))
+    supports = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), unique=True, min_size=free, max_size=min(n, 3)), max_size=5)
+    )
+    max_rows = data.draw(st.integers(1, 40))
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    expected = []
+    for support in supports:
+        # free positions run over every (a, b), the others over the nonzero ones
+        choices = [pairs] * free + [pairs[1:]] * (len(support) - free)
+        for content in itertools.product(*choices):
+            vec = np.zeros(2 * n, dtype=np.int64)
+            for pos, (a, b) in zip(support, content):
+                vec[pos], vec[n + pos] = a, b
+            expected.append(vec)
+    with mock.patch.object(sp, "BLOCK_ENTRIES", max_rows * 2 * n):
+        blocks = list(sp.support_vectors(n, p, map(tuple, supports), free=free))
+    got = np.vstack([np.zeros((0, 2 * n), dtype=np.int64), *blocks])
+    assert np.array_equal(got, np.reshape(expected, (-1, 2 * n)))
+
+
 @pytest.fixture(scope="module")
 def quantum_hamming():
     """[[15,7,3]]: CSS code of the [15,11,3] Hamming code's parity checks (column j is j+1 in binary)."""
@@ -200,6 +239,80 @@ def test_builtin_decode_tables_match_brute_force(entry):
     assert np.array_equal(entry.code.decode_table(), brute_force_leaders(entry.code, frozenset()))
 
 
+@SETTINGS
+@given(extended_codes(), st.data())
+def test_decode_mixes_erased_sets_in_one_batch(case, data):
+    code = case[0]
+    p, n = code.p, code.n
+    # sets of one size share their weight classes, so they are built in the same steps
+    size = data.draw(st.none() | st.integers(0, n - 1))
+    erased_sets = st.frozensets(st.integers(0, n - 1), min_size=size or 0, max_size=size)
+    sets = data.draw(st.lists(erased_sets, min_size=1, max_size=3, unique=True))
+    expected = [brute_force_leaders(code, erased) for erased in sets]
+    syndromes = all_syndromes(code)
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, len(sets) - 1), st.integers(0, len(syndromes) - 1)), min_size=1, max_size=30)
+    )
+    # repeated rows, then one shuffle of the whole batch
+    pairs = data.draw(st.permutations(pairs + pairs[: len(pairs) // 2]))
+    batch = syndromes[[key for _, key in pairs]]
+    mask = erasure_mask([sets[s] for s, _ in pairs], n)
+    want = np.asarray([expected[s][key] for s, key in pairs]).reshape(-1, 2 * n)
+    # blocks of a few rows split classes, and the sets built in one step, across blocks
+    block_rows = data.draw(st.sampled_from([3, 16, None]))
+    block_entries = block_rows * 2 * n if block_rows else sp.BLOCK_ENTRIES
+    cold = StabilizerCode(p, n, code.stab.basis)
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+        assert np.array_equal(cold.decode(batch, mask), want)
+    # per-set calls on a fresh code agree with the mixed batch
+    per_set = StabilizerCode(p, n, code.stab.basis)
+    for s, erased in enumerate(sets):
+        rows = [i for i, (owner, _) in enumerate(pairs) if owner == s]
+        assert np.array_equal(per_set.decode(batch[rows], erased), want[rows])
+    # partly warm: one set's cache is extended first by part of its syndromes
+    warm = StabilizerCode(p, n, code.stab.basis)
+    head = data.draw(st.lists(st.integers(0, len(syndromes) - 1), max_size=len(syndromes)))
+    assert np.array_equal(warm.decode(syndromes[head], sets[0]), expected[0][head])
+    assert np.array_equal(warm.decode(batch, mask), want)
+
+
+def test_lex_first_keeps_each_erased_set_apart():
+    sets = np.array([1, 0, 0, 1, 0])
+    keys = np.array([5, 5, 7, 5, 5])
+    rows = np.array([[0, 2], [1, 0], [0, 0], [0, 1], [0, 3]])
+    got_sets, got_keys, got_rows = codes._lex_first(sets, keys, rows, 5)
+    assert got_sets.tolist() == [0, 0, 1] and got_keys.tolist() == [5, 7, 5]
+    assert got_rows.tolist() == [[0, 3], [0, 0], [0, 1]]
+
+
+def test_structured_keys_hold_pairs_beyond_int64():
+    # 251^7 syndrome keys fit int64, but read as a number the erasure mask {8}
+    # is 2^8, and 2^8 * 251^7 does not: (erased set, syndrome) must not be packed
+    p, n = 251, 9
+    generators = np.hstack([np.zeros((7, n)), np.eye(n)[2:]]).astype(np.int64)
+    code = StabilizerCode(p, n, generators)
+    assert p**7 < 1 << 63 < 2**8 * p**7
+    rows, sets, want = [], [], []
+    for j, s in itertools.product(range(7), (0, 1, 7, 250)):
+        # Z_{j+2} measures -a_{j+2}, so syndrome s in row j is led by X^{p-s} there
+        syn = np.zeros(7, dtype=np.int64)
+        syn[j] = s
+        leader = np.zeros(2 * n, dtype=np.int64)
+        leader[j + 2] = (p - s) % p
+        rows.append(syn), sets.append(frozenset()), want.append(leader)
+        if j == 6:
+            # erasing position 8 makes that leader free: live weight 0
+            rows.append(syn), sets.append(frozenset({8})), want.append(leader)
+    order = np.random.default_rng(1).permutation(len(rows))
+    rows, want = np.asarray(rows)[order], np.asarray(want)[order]
+    mask = erasure_mask([sets[i] for i in order], n)
+    assert np.array_equal(code.decode(rows, mask), want)
+    fresh = StabilizerCode(p, n, generators)
+    for erased in (frozenset(), frozenset({8})):
+        keep = ~mask[:, 8] if not erased else mask[:, 8]
+        assert np.array_equal(fresh.decode(rows[keep], erased), want[keep])
+
+
 def postselects(n_total):
     return st.sampled_from(["none", "nonzero"] + [f"weight:{t}" for t in range(n_total + 1)])
 
@@ -207,12 +320,16 @@ def postselects(n_total):
 @SETTINGS
 @given(protocols(), st.data())
 def test_batched_run_protocol_matches_single_vectors(case, data):
-    spec, errors, erased = case
+    spec, errors, sets = case
     code = spec.extended_code
     policy = PostSelect.parse(data.draw(postselects(code.n)))
-    out = run_protocol(spec, ErrorPattern(errors, erased), policy)
+    out = run_protocol(spec, ErrorPattern(errors, erasure_mask(sets, code.n)), policy)
     assert out.logical.shape == errors.shape
-    for r, err in enumerate(errors):
+    if len(set(sets)) == 1:
+        shared = run_protocol(spec, ErrorPattern(errors, sets[0]), policy)
+        assert np.array_equal(shared.decoded, out.decoded)
+        assert np.array_equal(shared.discarded, out.discarded)
+    for r, (err, erased) in enumerate(zip(errors, sets)):
         one = run_protocol(spec, ErrorPattern(err, erased), policy)
         assert tuple(int(s) for s in out.combined_syndrome[r]) == one.combined_syndrome
         assert np.array_equal(out.decoded[r], one.decoded)
@@ -229,3 +346,100 @@ def test_batched_run_protocol_matches_single_vectors(case, data):
         weight = sp.symp_weight(decoded)
         expected = {"none": False, "nonzero": any(syn), "weight": weight > policy.threshold}
         assert one.discarded == expected[policy.mode]
+
+
+def per_row_verify(spec):
+    """(passed, patterns, counterexample error, its erased set) of the guarantee
+    check, one run_protocol call per pattern, in (e, t, erased set, row) order."""
+    code, d = spec.extended_code, spec.params.d
+    noisy, p = spec.noisy_positions, spec.extended_code.p
+    m = len(noisy)
+    values = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    patterns = 0
+    for e in range(min(d, m + 1)):
+        for t in range(min((d - e - 1) // 2, m - e) + 1):
+            for erased in itertools.combinations(noisy, e):
+                rest = [i for i in noisy if i not in erased]
+                for support in (erased + err for err in itertools.combinations(rest, t)):
+                    for content in itertools.product(values, repeat=len(support)):
+                        vec = np.zeros(2 * code.n, dtype=np.int64)
+                        for pos, (a, b) in zip(support, content):
+                            vec[pos], vec[code.n + pos] = a, b
+                        patterns += 1
+                        if not run_protocol(spec, ErrorPattern(vec, erased)).success:
+                            return False, patterns, vec, frozenset(erased)
+    return True, patterns, None, None
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(extended_codes(), st.data())
+def test_verify_matches_per_row_reference(case, data):
+    code = case[0]
+    assume(code.distance is not None)
+    ebits = data.draw(st.frozensets(st.integers(0, code.n - 1), max_size=code.n - 1))
+    # the true distance (for random ebits it may pass or fail), then overstated
+    claimed = code.distance + data.draw(st.sampled_from([0, 1, 2]))
+    params = EaqeccParams(p=code.p, n=code.n - len(ebits), gross_k=code.k, c=len(ebits), d=claimed)
+    spec = BreedingProtocolSpec(code, ebits, params)
+    m, q = params.n, code.p**2
+    assume(
+        sum(
+            comb(m, e) * comb(m - e, t) * (q - 1) ** (e + t)
+            for e in range(min(claimed, m + 1))
+            for t in range(min((claimed - e - 1) // 2, m - e) + 1)
+        )
+        <= 2000
+    )
+    check_verify_against_reference(spec, data.draw(st.sampled_from([1, 5, 64, None])))
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+@pytest.mark.parametrize("ebits", [(), (0,), (1, 3)])
+@pytest.mark.parametrize("overstated", [0, 1, 2])
+def test_verify_matches_per_row_reference_on_catalog_codes(entry, ebits, overstated):
+    code = entry.code
+    params = EaqeccParams(
+        p=code.p, n=code.n - len(ebits), gross_k=code.k, c=len(ebits), d=entry.d + overstated
+    )
+    check_verify_against_reference(BreedingProtocolSpec(code, frozenset(ebits), params), 7)
+
+
+@pytest.mark.parametrize("block_rows", [2, 7, None])
+def test_verify_counterexample_on_a_later_erased_set(block_rows):
+    # d = 2 first fails with position 1 erased, after the rows of erased set {0}
+    code = StabilizerCode(2, 4, [sp.from_string(g, 2) for g in ("1011|1000", "0100|1101")])
+    spec = BreedingProtocolSpec(code, frozenset(), EaqeccParams(p=2, n=4, gross_k=code.k, c=0, d=2))
+    passed, patterns, _, erased = per_row_verify(spec)
+    assert (passed, patterns, erased) == (False, 6, frozenset({1}))
+    check_verify_against_reference(spec, block_rows)
+
+
+def test_decoder_cap_counts_every_class_generated(monkeypatch):
+    # Z_0, Z_1 on three qubits: syndrome (1, 1) is led by X_0 X_1, of weight 2;
+    # the classes of weight 0, 1, 2 hold 1, 9 and 27 vectors
+    generators = [sp.from_string(g, 2) for g in ("000|100", "000|010")]
+    monkeypatch.setattr(codes, "ENUM_CAP", 37)
+    assert StabilizerCode(2, 3, generators).decode((1, 1)).tolist() == [1, 1, 0, 0, 0, 0]
+    monkeypatch.setattr(codes, "ENUM_CAP", 36)
+    with pytest.raises(FeasibilityError, match="37 weight-class vectors"):
+        StabilizerCode(2, 3, generators).decode((1, 1))
+    # the count carries over from an earlier call that stopped at weight 1
+    code = StabilizerCode(2, 3, generators)
+    assert code.decode((1, 0)).tolist() == [1, 0, 0, 0, 0, 0]
+    with pytest.raises(FeasibilityError, match="37 weight-class vectors"):
+        code.decode([[1, 1], [0, 1]])
+
+
+def check_verify_against_reference(spec, block_rows):
+    """verify_guarantee, with blocks of block_rows rows (None: the default
+    blocks), gives the verdict, pattern count and counterexample of the
+    per-row reference."""
+    passed, patterns, error, erased = per_row_verify(spec)
+    # small blocks split the rows of one (e, t) and of one erased set across kernel calls
+    block_entries = block_rows * 2 * spec.extended_code.n if block_rows else sp.BLOCK_ENTRIES
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+        cert = verify_guarantee(spec)
+    assert (cert.passed, cert.patterns) == (passed, patterns)
+    if not passed:
+        assert np.array_equal(cert.counterexample.error, error)
+        assert cert.counterexample.erased == erased
