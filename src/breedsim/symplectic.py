@@ -98,18 +98,20 @@ def support_vectors(
         # row r holds support r // place[0]; its content digits are the rest
         # of r in mixed radix, and a nonzero position's values start at 1, so
         # (a, b) are the base-p digits of digit + offset
-        bases = [q] * free + [q - 1] * (size - free)
-        place = np.array([math.prod(bases[j:]) for j in range(size + 1)], dtype=np.int64)
+        bases = np.array([q] * free + [q - 1] * (size - free), dtype=np.int64)
+        place = np.array([math.prod(bases[j:].tolist()) for j in range(size + 1)], dtype=np.int64)
         offset = np.array([0] * free + [1] * (size - free), dtype=np.int64)
         total = len(pos) * int(place[0])
         for start in range(0, total, max_rows):
             r = np.arange(start, min(start + max_rows, total), dtype=np.int64)
-            a, b = np.divmod(r[:, None] // place[1:] % bases + offset, p)
+            values = r[:, None] // place[1:]
+            values %= bases
+            values += offset
             cols = pos[r // place[0]]
             at = np.arange(len(r))[:, None]
             block = np.zeros((len(r), 2 * n), dtype=np.int64)
-            block[at, cols] = a
-            block[at, n + cols] = b
+            block[at, cols] = values // p
+            block[at, n + cols] = values % p
             yield block
 
 
