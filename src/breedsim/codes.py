@@ -40,11 +40,11 @@ class FeasibilityError(RuntimeError):
 ENUM_CAP = 1 << 22
 
 #: most entries (rows x 2n) one decoder build step generates for the erased
-#: sets that share a weight class; a larger class takes a step of its own
+#: sets that share a weight class (a larger class takes a step of its own);
+#: below sp.BLOCK_ENTRIES because steps of 2^18 or 2^20 entries raise the
+#: erasure benchmark's peak RSS from about 41.5 to 45.5 MB, and 2^14 does
+#: not lower it
 BUILD_ENTRIES = 1 << 16
-
-#: decoder cache key; two fields, so (erased set, syndrome) cannot overflow one int64
-PAIR = np.dtype([("erased", np.int64), ("syndrome", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,12 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        # the decoder cache: sorted (erased-set id, syndrome key) pairs and
-        # their leaders; per erased set, its id and (next live weight, class
-        # vectors generated so far)
-        self._pair_keys = np.empty(0, dtype=PAIR)
+        # the decoder cache, sorted by (erased-set id, syndrome key): the two
+        # keys as separate int64 columns, never packed into one, and the
+        # leaders; per erased set, its id and (next live weight, class vectors
+        # generated so far)
+        self._cache_sets = np.empty(0, dtype=np.int64)
+        self._cache_keys = np.empty(0, dtype=np.int64)
         self._leaders = np.empty((0, 2 * n), dtype=np.uint8)
         self._erased_ids: dict = {}
         self._erased_sets: list = []
@@ -164,47 +166,37 @@ class StabilizerCode:
         rows = np.atleast_2d(syndromes)
         if rows.ndim != 2 or rows.shape[1] != m:
             raise ValueError(f"syndrome must have length {m}")
-        if isinstance(erased, np.ndarray) and erased.dtype == bool:
-            mask = np.atleast_2d(erased)
-            if mask.shape != (len(rows), n):
-                raise ValueError(f"erasure mask must have shape ({len(rows)}, {n})")
-        else:
-            positions = sorted({int(i) for i in erased})
-            if any(i < 0 or i >= n for i in positions):
-                raise ValueError(f"erased positions out of range for n={n}")
-            mask = np.zeros((1, n), dtype=bool)
-            mask[0, positions] = True
-            mask = np.broadcast_to(mask, (len(rows), n))
+        mask = erasure_mask(erased, n, syndromes.shape[:-1]).reshape(len(rows), n)
         if p**m >= 1 << 63:
             raise FeasibilityError(f"{p}^{m} syndromes overflow the int64 syndrome keys")
-        wanted, inverse = self._pairs(mask, rows @ self._syndrome_radix)
-        at, cached = self._find(wanted)
+        sets, keys, inverse = self._pairs(mask, rows @ self._syndrome_radix)
+        at, cached = _search(self._cache_sets, self._cache_keys, sets, keys)
         if not cached.all():
-            self._decode_by_coset(wanted[~cached])
-            at = np.searchsorted(self._pair_keys, wanted)
+            self._decode_by_coset(sets[~cached], keys[~cached])
+            at = _search(self._cache_sets, self._cache_keys, sets, keys)[0]
         decoded = self._leaders[at[inverse]].astype(np.int64)
         return decoded[0] if syndromes.ndim == 1 else decoded
 
-    def _pairs(self, mask: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The distinct (erased-set id, syndrome key) pairs of the rows, as a
-        PAIR array, and the index of each row's pair in it."""
+    def _pairs(self, mask: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The distinct (erased-set id, syndrome key) pairs of the rows, sorted,
+        as two arrays, and the index of each row's pair in them."""
         words = _radix_words(mask, 2)
-        order = np.lexsort((keys, *words))
-        keys = keys[order]
+        order = np.lexsort(words)
         new_set = np.zeros(len(order), dtype=bool)
         new_set[:1] = True
         for word in words:
             word = word[order]
             new_set[1:] |= word[1:] != word[:-1]
-        new_pair = new_set.copy()
-        new_pair[1:] |= keys[1:] != keys[:-1]
         ids = np.array([self._erased_id(mask[r]) for r in order[new_set]], dtype=np.int64)
-        pairs = np.empty(int(new_pair.sum()), dtype=PAIR)
-        pairs["erased"] = ids[np.cumsum(new_set) - 1][new_pair]
-        pairs["syndrome"] = keys[new_pair]
+        sets = np.empty(len(order), dtype=np.int64)
+        sets[order] = ids[np.cumsum(new_set) - 1]
+        order = np.lexsort((keys, sets))
+        sets, keys = sets[order], keys[order]
+        new_pair = np.ones(len(order), dtype=bool)
+        new_pair[1:] = (sets[1:] != sets[:-1]) | (keys[1:] != keys[:-1])
         inverse = np.empty(len(order), dtype=np.intp)
         inverse[order] = np.cumsum(new_pair) - 1
-        return pairs, inverse
+        return sets[new_pair], keys[new_pair], inverse
 
     def _erased_id(self, row: np.ndarray) -> int:
         """Id of the erased set a mask row flags; a new set starts at live weight 0."""
@@ -215,33 +207,27 @@ class StabilizerCode:
             self._progress.append((0, 0))
         return self._erased_ids[erased]
 
-    def _find(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per pair: its position in the sorted cache, and whether it is there."""
-        at = np.searchsorted(self._pair_keys, pairs)
-        cached = at < len(self._pair_keys)
-        found, pairs = self._pair_keys[at[cached]], pairs[cached]
-        cached[cached] = (found["erased"] == pairs["erased"]) & (found["syndrome"] == pairs["syndrome"])
-        return at, cached
+    def _decode_by_coset(self, sets: np.ndarray, keys: np.ndarray) -> None:
+        """Extend the leader cache until it holds every (erased-set id,
+        syndrome key) pair of the sorted arrays sets, keys.
 
-    def _decode_by_coset(self, wanted: np.ndarray) -> None:
-        """Extend the leader cache until it holds every pair of the PAIR array wanted.
-
-        Each erased set still missing a syndrome gains its next live-weight
-        class w: w nonzero pairs off the erased set, every one of the p^(2e)
-        contents on it, resuming after the last class generated for that set.
-        A syndrome first met in class w has no vector of lower live weight, so
-        the lex-smallest row of the class with that syndrome is its exact
-        leader. The sets that share (e, w) are built together, as many per
-        step as fit BUILD_ENTRIES, and per-pair minima are merged across the
-        blocks of a step. A set is refused before generating a class that
+        Each round, every erased set still missing a syndrome gains its next
+        live-weight class w: w nonzero pairs off the erased set, every one of
+        the p^(2e) contents on it, resuming after the last class generated
+        for that set. A syndrome first met in class w has no vector of lower
+        live weight, so the lex-smallest row of the class with that syndrome
+        is its exact leader. The sets that share (e, w) are built together,
+        as many per step as fit BUILD_ENTRIES, per-pair minima are merged
+        across the blocks of a step, and the round's new leaders join the
+        cache in one merge. A set is refused before generating a class that
         would take the vectors generated for it past ENUM_CAP.
         """
-        p, n = self.p, self.n
-        q = p * p
+        n = self.n
+        q = self.p * self.p
         max_rows = max(1, BUILD_ENTRIES // (2 * n))
-        while len(wanted):
+        while len(sets):
             classes: dict = {}
-            for s in sorted(set(wanted["erased"].tolist())):
+            for s in sets[np.flatnonzero(np.diff(sets, prepend=-1))].tolist():
                 erased, (w, generated) = self._erased_sets[s], self._progress[s]
                 size = comb(n - len(erased), w) * (q - 1) ** w * q ** len(erased)
                 if generated + size > ENUM_CAP:
@@ -251,15 +237,27 @@ class StabilizerCode:
                         f"over cap {ENUM_CAP}"
                     )
                 classes.setdefault((len(erased), w, size), []).append(s)
-            for (e, w, size), sets in sorted(classes.items()):
+            steps = []
+            for (e, w, size), group in sorted(classes.items()):
                 per_step = max(1, max_rows // size)
-                for start in range(0, len(sets), per_step):
-                    self._add_class(sets[start : start + per_step], e, w, size)
-            wanted = wanted[~self._find(wanted)[1]]
+                for start in range(0, len(group), per_step):
+                    steps.append(self._build_class(group[start : start + per_step], e, w, size))
+            # a set sits in one step, whose pairs are sorted, so a stable sort
+            # by set sorts the round by (set, key)
+            at, new_sets, new_keys, new_rows = (np.concatenate(part) for part in zip(*steps))
+            order = np.argsort(new_sets, kind="stable")
+            at, new_sets, new_keys, new_rows = at[order], new_sets[order], new_keys[order], new_rows[order]
+            self._cache_sets = np.insert(self._cache_sets, at, new_sets)
+            self._cache_keys = np.insert(self._cache_keys, at, new_keys)
+            self._leaders = np.insert(self._leaders, at, new_rows, axis=0)
+            missing = ~_search(new_sets, new_keys, sets, keys)[1]
+            sets, keys = sets[missing], keys[missing]
 
-    def _add_class(self, sets: list, e: int, w: int, size: int) -> None:
+    def _build_class(self, sets: list, e: int, w: int, size: int) -> Tuple[np.ndarray, ...]:
         """Generate live-weight class w of each erased set of size e in sets
-        (size vectors each) and cache the leaders it gives."""
+        (size vectors each); returns the cache position, set, key and uint8
+        leader of each pair the class leads and the cache lacks, sorted by
+        (set, key)."""
         p, n = self.p, self.n
         supports = [
             erased + tail
@@ -272,17 +270,15 @@ class StabilizerCode:
         for block in sp.support_vectors(n, p, supports, free=e):
             owner = owners[(done + np.arange(len(block))) // size]
             done += len(block)
-            step = _lex_first(owner, block @ check % p @ self._syndrome_radix, block, p)
+            step = _lex_first(owner, block @ check % p @ self._syndrome_radix, block.astype(np.uint8), p)
             if found is not None:
                 step = _lex_first(*(np.concatenate(pair) for pair in zip(found, step)), p)
             found = step
-        pairs = np.empty(len(found[0]), dtype=PAIR)
-        pairs["erased"], pairs["syndrome"] = found[:2]
-        at, cached = self._find(pairs)
-        self._pair_keys = np.insert(self._pair_keys, at[~cached], pairs[~cached])
-        self._leaders = np.insert(self._leaders, at[~cached], found[2][~cached].astype(np.uint8), axis=0)
         for s in sets:
             self._progress[s] = (w + 1, self._progress[s][1] + size)
+        at, cached = _search(self._cache_sets, self._cache_keys, *found[:2])
+        fresh = ~cached
+        return at[fresh], found[0][fresh], found[1][fresh], found[2][fresh]
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
         """Canonical C-coset representative of each row (the zero row for rows in C)."""
@@ -299,6 +295,43 @@ class StabilizerCode:
 
     def __repr__(self):
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
+
+
+def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[int, ...]) -> np.ndarray:
+    """The erased positions as a boolean mask of shape rows + (n,). ``erased``
+    is such a mask, or positions (each in range(n)) that every row shares."""
+    if isinstance(erased, np.ndarray) and erased.dtype == bool:
+        if erased.shape != rows + (n,):
+            raise ValueError(f"erasure mask must have shape {rows + (n,)}")
+        return erased
+    positions = sorted({int(i) for i in erased})
+    if any(i < 0 or i >= n for i in positions):
+        raise ValueError(f"erased positions out of range for n={n}")
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return np.broadcast_to(mask, rows + (n,))
+
+
+def _search(sets: np.ndarray, keys: np.ndarray, at_sets: np.ndarray, at_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per (set, key) pair of the sorted arrays at_sets, at_keys: its position
+    in the (set, key)-sorted columns sets, keys, and whether it is there.
+
+    Two int64 searches: the slice of each set in sets, then the keys within it.
+    """
+    starts = np.flatnonzero(np.diff(at_sets, prepend=-1))
+    bounds = zip(
+        starts.tolist(),
+        np.append(starts[1:], len(at_sets)).tolist(),
+        np.searchsorted(sets, at_sets[starts]).tolist(),
+        np.searchsorted(sets, at_sets[starts], side="right").tolist(),
+    )
+    at = np.empty(len(at_sets), dtype=np.intp)
+    for start, stop, lo, hi in bounds:
+        at[start:stop] = lo + np.searchsorted(keys[lo:hi], at_keys[start:stop])
+    there = at < len(sets)
+    hit = at[there]
+    there[there] = (sets[hit] == at_sets[there]) & (keys[hit] == at_keys[there])
+    return at, there
 
 
 def _radix_words(digits: np.ndarray, base: int) -> list:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import symplectic as sp
 from .breeding import BreedingProtocolSpec
-from .codes import ENUM_CAP, FeasibilityError, LogicalClass
+from .codes import ENUM_CAP, FeasibilityError, LogicalClass, erasure_mask
 
 #: trials per deterministic chunk; fixed so worker count cannot change results
 CHUNK = 10_000
@@ -151,21 +151,19 @@ class ExactFidelity:
     acceptance: float = 1.0
 
 
-def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> None:
-    code = spec.extended_code
-    n = code.n
-    err, erased = pattern.error, pattern.erased
+def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> np.ndarray:
+    """Check pattern against spec; returns its erasure mask as (rows, n)."""
+    n = spec.extended_code.n
+    err = pattern.error
     if err.ndim not in (1, 2) or err.shape[-1] != 2 * n:
         raise ValueError(f"error vector must have length {2 * n}")
-    if isinstance(erased, np.ndarray) and erased.shape != err.shape[:-1] + (n,):
-        raise ValueError(f"erasure mask must have shape {err.shape[:-1] + (n,)}")
+    mask = erasure_mask(pattern.erased, n, err.shape[:-1]).reshape(-1, n)
     for i in spec.ebit_positions:
         if np.any(err[..., i]) or np.any(err[..., n + i]):
             raise ValueError(f"preshared pair at position {i} cannot carry an error")
-        if np.any(erased[..., i]) if isinstance(erased, np.ndarray) else i in erased:
+        if mask[:, i].any():
             raise ValueError(f"preshared pair at position {i} cannot be erased")
-    if not isinstance(erased, np.ndarray) and not erased <= set(spec.noisy_positions):
-        raise ValueError("erased positions must be noisy positions")
+    return mask
 
 
 def run_protocol(
@@ -175,11 +173,11 @@ def run_protocol(
 ) -> ProtocolOutcome:
     """Protocol execution against one error vector or a batch of error rows,
     each row decoded with its own erased set (``pattern.erased``)."""
-    _check_pattern(spec, pattern)
+    mask = _check_pattern(spec, pattern)
     code = spec.extended_code
     errors = np.atleast_2d(pattern.error) % code.p
     syn = code.syndromes_batch(errors)
-    decoded = code.decode(syn, pattern.erased)
+    decoded = code.decode(syn, mask)
     # decoded has the syndrome of errors, so every residual lies in C^perp_s
     logical = code.coset_representatives(errors - decoded)
     success = ~np.any(logical, axis=1)

@@ -99,12 +99,12 @@ class _VectorTable:
         self.p, self.n = p, n
         size = 2 * n
         # index i holds the base-p digits of i, the first coordinate most
-        # significant: column j repeats each digit p^(size-1-j) times, in
-        # p^j runs, written in place with no wider copy of the table
+        # significant; written a batch at a time, so no int64 copy of the table
         self.vectors = np.empty((p**size, size), dtype=np.uint8)
-        for j in range(size):
-            runs = self.vectors.reshape(p**j, p, p ** (size - 1 - j), size)
-            runs[:, :, :, j] = np.arange(p, dtype=np.uint8)[:, None]
+        start = 0
+        for batch in fm.iter_span_batches(np.eye(size, dtype=np.int64), p, batch_size=1 << 12):
+            self.vectors[start : start + len(batch)] = batch
+            start += len(batch)
         # vector v sits at index v . radix
         self.radix = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
         self.inverse = np.array([0] + [fm.inv_mod(x, p) for x in range(1, p)], dtype=np.int64)

@@ -107,6 +107,9 @@ class TestRunProtocol:
         mask[1, 5], mask[2, 0] = False, True
         out = run_protocol(breeding_spec, ErrorPattern(errors, mask))
         assert out.success.all()
+        for outside in (6, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                run_protocol(breeding_spec, ErrorPattern(errors, frozenset({outside})))
 
     def test_erasure_on_ebit_position_rejected(self, breeding_spec):
         with pytest.raises(ValueError, match="preshared"):

@@ -258,11 +258,14 @@ def test_decode_mixes_erased_sets_in_one_batch(case, data):
     batch = syndromes[[key for _, key in pairs]]
     mask = erasure_mask([sets[s] for s, _ in pairs], n)
     want = np.asarray([expected[s][key] for s, key in pairs]).reshape(-1, 2 * n)
-    # blocks of a few rows split classes, and the sets built in one step, across blocks
+    # blocks of a few rows split classes, and the sets built in one step, across
+    # blocks; steps of a few rows split the sets that share a class across steps
     block_rows = data.draw(st.sampled_from([3, 16, None]))
     block_entries = block_rows * 2 * n if block_rows else sp.BLOCK_ENTRIES
+    step_rows = data.draw(st.sampled_from([1, 16, None]))
+    step_entries = step_rows * 2 * n if step_rows else codes.BUILD_ENTRIES
     cold = StabilizerCode(p, n, code.stab.basis)
-    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries), mock.patch.object(codes, "BUILD_ENTRIES", step_entries):
         assert np.array_equal(cold.decode(batch, mask), want)
     # per-set calls on a fresh code agree with the mixed batch
     per_set = StabilizerCode(p, n, code.stab.basis)
@@ -276,6 +279,52 @@ def test_decode_mixes_erased_sets_in_one_batch(case, data):
     assert np.array_equal(warm.decode(batch, mask), want)
 
 
+def test_sets_of_one_class_split_across_build_steps(monkeypatch):
+    # the five erased sets of size 1 share every class; class 0 of one holds
+    # the 4 contents of its erased position, so steps of 8 rows take two sets
+    entry = next(e for e in builtin_catalog() if e.name == "five_qubit")
+    code = StabilizerCode(entry.code.p, entry.code.n, entry.code.stab.basis)
+    n = code.n
+    monkeypatch.setattr(codes, "BUILD_ENTRIES", 8 * 2 * n)
+    steps = []
+    build = StabilizerCode._build_class
+
+    def spy(self, sets, e, w, size):
+        steps.append((e, w, list(sets)))
+        return build(self, sets, e, w, size)
+
+    monkeypatch.setattr(StabilizerCode, "_build_class", spy)
+    sets = [frozenset({i}) for i in range(n)]
+    syndromes = all_syndromes(code)
+    pairs = list(itertools.product(range(n), range(len(syndromes))))
+    order = np.random.default_rng(3).permutation(len(pairs))
+    batch = syndromes[[pairs[i][1] for i in order]]
+    mask = erasure_mask([sets[pairs[i][0]] for i in order], n)
+    expected = [brute_force_leaders(code, erased) for erased in sets]
+    want = np.asarray([expected[pairs[i][0]][pairs[i][1]] for i in order])
+    assert np.array_equal(code.decode(batch, mask), want)
+    # one round per class: class 1 of one set holds 4 * 4 * 3 = 48 rows, a
+    # step of its own each, and leads every syndrome class 0 left
+    assert steps == [(1, 0, [0, 1]), (1, 0, [2, 3]), (1, 0, [4])] + [(1, 1, [i]) for i in range(n)]
+
+
+@SETTINGS
+@given(st.data())
+def test_search_finds_pairs_in_sorted_columns(data):
+    pair_lists = st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), unique=True)
+    cache = sorted(data.draw(pair_lists))
+    queries = sorted(data.draw(pair_lists))
+
+    def columns(pairs):
+        return [np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1)]
+
+    at, there = codes._search(*columns(cache), *columns(queries))
+    for i, pair in enumerate(queries):
+        assert bool(there[i]) == (pair in cache)
+        # where the pair sits, or would be inserted to keep the columns sorted
+        assert at[i] == sum(1 for c in cache if c < pair)
+
+
 def test_lex_first_keeps_each_erased_set_apart():
     sets = np.array([1, 0, 0, 1, 0])
     keys = np.array([5, 5, 7, 5, 5])
@@ -285,7 +334,7 @@ def test_lex_first_keeps_each_erased_set_apart():
     assert got_rows.tolist() == [[0, 3], [0, 0], [0, 1]]
 
 
-def test_structured_keys_hold_pairs_beyond_int64():
+def test_cache_keys_hold_pairs_beyond_int64():
     # 251^7 syndrome keys fit int64, but read as a number the erasure mask {8}
     # is 2^8, and 2^8 * 251^7 does not: (erased set, syndrome) must not be packed
     p, n = 251, 9
