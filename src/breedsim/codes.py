@@ -99,13 +99,16 @@ class StabilizerCode:
         return sp.symp_dual(self.stab)
 
     @cached_property
-    def _syndrome_matrix(self) -> np.ndarray:
-        return sp.syndrome_matrix(self.stab.basis, self.p)
+    def _syndrome_check(self) -> np.ndarray:
+        """The transposed syndrome matrix as float64, for ``fm.mat_mod``."""
+        return sp.syndrome_matrix(self.stab.basis, self.p).T.astype(np.float64)
 
     @cached_property
-    def _stab_pivots(self):
-        r, pivots = fm.rref(self.stab.basis, self.p)
-        return r[: len(pivots)], pivots
+    def _coset_map(self) -> np.ndarray:
+        """``fm.reduction_map`` of the stabilizer; its basis is RREF already,
+        so each row's pivot is its first nonzero entry."""
+        basis = self.stab.basis
+        return fm.reduction_map(basis, np.argmax(basis != 0, axis=1), self.p)
 
     @cached_property
     def _distance_and_purity(self) -> Tuple[Optional[int], Optional[bool]]:
@@ -122,13 +125,16 @@ class StabilizerCode:
         return self._distance_and_purity[1]
 
     def syndrome(self, err: np.ndarray) -> Tuple[int, ...]:
-        err = np.asarray(err, dtype=np.int64) % self.p
+        err = np.asarray(err)
         if err.shape != (2 * self.n,):
             raise ValueError(f"error vector must have length {2 * self.n}")
-        return tuple(int(x) for x in self._syndrome_matrix @ err % self.p)
+        return tuple(self.syndromes_batch(err[None, :])[0].tolist())
 
     def syndromes_batch(self, errors: np.ndarray) -> np.ndarray:
-        return errors % self.p @ self._syndrome_matrix.T % self.p
+        """Syndrome of each error row (entries of any sign or size), as int64
+        in [0, p). One exact float64 product (``fm.mat_mod``): each syndrome
+        entry sums 2n terms of at most (p - 1)^2, far below 2^53."""
+        return fm.mat_mod(errors, self._syndrome_check, self.p)
 
     @cached_property
     def _syndrome_radix(self) -> np.ndarray:
@@ -162,7 +168,7 @@ class StabilizerCode:
         call. Refuses a code whose p^dim(C) syndrome keys would overflow int64.
         """
         p, n, m = self.p, self.n, self.stab.dim
-        syndromes = np.asarray(syndromes, dtype=np.int64) % p
+        syndromes = fm.reduced(np.asarray(syndromes, dtype=np.int64), p)
         rows = np.atleast_2d(syndromes)
         if rows.ndim != 2 or rows.shape[1] != m:
             raise ValueError(f"syndrome must have length {m}")
@@ -267,12 +273,12 @@ class StabilizerCode:
             for tail in itertools.combinations([i for i in range(n) if i not in erased], w)
         ]
         owners = np.asarray(sets, dtype=np.int64)
-        check = self._syndrome_matrix.T
         found, done = None, 0
         for block in sp.support_vectors(n, p, supports, free=e):
             owner = owners[(done + np.arange(len(block))) // size]
             done += len(block)
-            step = _lex_first(owner, block @ check % p @ self._syndrome_radix, block.astype(np.uint8), p)
+            keys = fm.mat_mod(block, self._syndrome_check, p) @ self._syndrome_radix
+            step = _lex_first(owner, keys, block.astype(np.uint8), p)
             if found is not None:
                 step = _lex_first(*(np.concatenate(pair) for pair in zip(found, step)), p)
             found = step
@@ -283,17 +289,20 @@ class StabilizerCode:
         return at[fresh], found[0][fresh], found[1][fresh], found[2][fresh]
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical C-coset representative of each row (the zero row for rows in C)."""
-        basis, pivots = self._stab_pivots
-        return fm.reduce_rows(basis, pivots, rows, self.p)
+        """Canonical C-coset representative of each row (entries of any sign
+        or size; the zero row for rows in C). The stabilizer's RREF basis is
+        the identity on its pivot columns, so a representative is zero there
+        and rows @ K is all of it, for one map K cached per code: one exact
+        float64 product (``fm.mat_mod``; each entry sums 2n terms of at most
+        (p - 1)^2, far below 2^53)."""
+        return fm.mat_mod(rows, self._coset_map, self.p)
 
     def logical_class(self, residual: np.ndarray) -> LogicalClass:
         """Canonical C-coset label; non-correctable if residual is outside C^perp_s."""
-        residual = np.asarray(residual, dtype=np.int64) % self.p
-        if np.any(self._syndrome_matrix @ residual % self.p):
+        residual = np.asarray(residual)[None, :]
+        if self.syndromes_batch(residual).any():
             return NON_CORRECTABLE
-        rep = self.coset_representatives(residual[None, :])[0]
-        return LogicalClass(tuple(int(x) for x in rep))
+        return LogicalClass(tuple(self.coset_representatives(residual)[0].tolist()))
 
     def __repr__(self):
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
@@ -373,8 +382,8 @@ def min_weight_outside(
     if 2 * n - sub.dim == sub.dim - fm.rank(sp.gram(sub), p):
         return None, None
     r, pivots = fm.rref(sub.basis, p)
-    basis = r[: len(pivots)]
-    check = sp.syndrome_matrix(sub.basis, p).T
+    reduction = fm.reduction_map(r[: len(pivots)], pivots, p)
+    check = sp.syndrome_matrix(sub.basis, p).T.astype(np.float64)
     min_nonzero, generated = None, 0
     for w in range(1, n + 1):
         generated += comb(n, w) * (p * p - 1) ** w
@@ -384,9 +393,9 @@ def min_weight_outside(
                 f"over cap {cap}"
             )
         for block in sp.support_vectors(n, p, itertools.combinations(range(n), w)):
-            dual = block[~np.any(block @ check % p, axis=1)]
+            dual = block[~np.any(fm.mat_mod(block, check, p), axis=1)]
             if len(dual):
                 min_nonzero = min_nonzero or w
-                if np.any(fm.reduce_rows(basis, pivots, dual, p)):
+                if np.any(fm.mat_mod(dual, reduction, p)):
                     return w, min_nonzero
     raise AssertionError("the dual lies outside sub but has no vector of weight at most n")

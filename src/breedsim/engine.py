@@ -14,7 +14,6 @@ their rows through it, one call per block of rows.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, sqrt
 from typing import FrozenSet, Optional, Tuple, Union
@@ -175,7 +174,7 @@ def run_protocol(
     each row decoded with its own erased set (``pattern.erased``)."""
     mask = _check_pattern(spec, pattern)
     code = spec.extended_code
-    errors = np.atleast_2d(pattern.error) % code.p
+    errors = np.atleast_2d(pattern.error)
     syn = code.syndromes_batch(errors)
     decoded = code.decode(syn, mask)
     # decoded has the syndrome of errors, so every residual lies in C^perp_s
@@ -338,6 +337,10 @@ def simulate(
         for start in range(0, trials, CHUNK)
     ]
     if workers > 1 and len(chunks) > 1:
+        # imported here: loading it pulls in multiprocessing, which a
+        # one-worker run would pay for at every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_chunk, chunks))
     else:

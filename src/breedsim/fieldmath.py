@@ -3,6 +3,12 @@
 All matrices are 2-D ``int64`` arrays with entries reduced into ``[0, p)``.
 Row spaces are canonicalized by reduced row echelon form (RREF); two
 subspaces are equal iff their RREF bases are equal arrays.
+
+Products on the hot paths go through ``mat_mod``: one float64 (BLAS) product
+and a floor-based mod of its small output. The rule that keeps it exact: every
+operand entry lies in (-p, p) (rows with an entry outside are reduced first),
+so every partial sum is an integer of magnitude at most inner (p - 1)^2, which
+must stay below 2^53, where float64 is exact.
 """
 
 from __future__ import annotations
@@ -105,14 +111,50 @@ def kernel(m: np.ndarray, p: int) -> np.ndarray:
     return row_basis(basis, p)
 
 
-def reduce_rows(basis: np.ndarray, pivots: List[int], rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduce each row against an RREF basis; row i becomes its canonical coset representative.
+def reduced(a, p: int, signed: bool = False) -> np.ndarray:
+    """a with every entry in [0, p), or in (-p, p) when signed: a itself when
+    it already is, else a % p as int64 (an int64 % costs far more than the
+    range check)."""
+    a = np.asarray(a)
+    if a.size and (a.min() < (1 - p if signed else 0) or a.max() >= p):
+        return a.astype(np.int64) % p
+    return a
 
-    One product: the basis is a unit vector on each pivot column, so
-    subtracting rows[:, pivots] @ basis clears every pivot at once.
+
+def mat_mod(a, b, p: int) -> np.ndarray:
+    """a @ b mod p as int64 entries in [0, p), through one float64 product.
+
+    b is a fixed map with entries in (-p, p); a may hold any integers and is
+    reduced only when one of them lies outside (-p, p) (``reduced``). Exact:
+    every partial sum is then an integer of magnitude at most
+    inner (p - 1)^2, below 2^53 for any inner length under 1.4e11 when
+    p <= 251; float64 holds such integers exactly in any summation order,
+    and for such an x the correctly rounded x / p never crosses the next
+    integer, so x - floor(x / p) p is its exact residue. Pass b as float64
+    to skip its conversion.
     """
-    out = np.asarray(rows, dtype=np.int64) % p
-    return (out - out[:, pivots] @ np.asarray(basis, dtype=np.int64)) % p
+    prod = np.matmul(reduced(a, p, signed=True), b, dtype=np.float64)
+    prod -= np.floor(prod / p) * p
+    return prod.astype(np.int64)
+
+
+def reduction_map(basis: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
+    """K with mat_mod(x, K, p) the reduction of each row x against an RREF
+    basis: its canonical coset representative.
+
+    The basis is a unit vector on each pivot column, so x - x[pivots] @ basis
+    clears every pivot at once; that is x @ K for K the identity minus the
+    basis rows placed at their pivots, so K is zero on the pivot columns.
+    float64, ready for ``mat_mod``.
+    """
+    k = np.eye(np.shape(basis)[1])
+    k[pivots] -= basis
+    return k % p
+
+
+def reduce_rows(basis: np.ndarray, pivots: List[int], rows: np.ndarray, p: int) -> np.ndarray:
+    """Reduce each row against an RREF basis; row i becomes its canonical coset representative."""
+    return mat_mod(rows, reduction_map(basis, pivots, p), p)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import breedsim
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
 from breedsim.codes import FeasibilityError, StabilizerCode
@@ -219,6 +223,17 @@ class TestSimulate:
         serial = simulate(breeding_spec, Channel(2, 0.1), 25_000, seed=3, workers=1)
         parallel = simulate(breeding_spec, Channel(2, 0.1), 25_000, seed=3, workers=2)
         assert serial == parallel
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported only by a run with more than one worker
+        code = (
+            "import sys, breedsim, breedsim.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(breedsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_invalid_trials(self, breeding_spec):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breedsim import fieldmath as fm
+from breedsim import symplectic as sp
+from breedsim.codes import StabilizerCode
 
 
 def test_check_modulus_accepts_primes():
@@ -147,3 +149,66 @@ def test_reduce_rows_matches_per_pivot_reference(case):
     got = fm.reduce_rows(basis, pivots, rows, p)
     assert np.array_equal(got, reduce_rows_per_pivot(basis, pivots, rows, p))
     assert not got[:, pivots].any()
+
+
+@st.composite
+def product_cases(draw):
+    """(a, b, p): a with entries that may be negative or at least p, b with
+    entries in (-p, p), in shapes that may have zero rows, zero inner length
+    or zero columns."""
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    big = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-(1 << 40), 1 << 40))
+
+    def matrix(r, c):
+        return np.array(draw(st.lists(big, min_size=r * c, max_size=r * c)), dtype=np.int64).reshape(r, c)
+
+    # b is a fixed map: entries in (-p, p), int64 or float64
+    a, b = matrix(rows, inner), np.fmod(matrix(inner, cols), p)
+    if draw(st.booleans()):
+        b = b.astype(np.float64)
+    return a, b, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_mat_mod_matches_int64_product(case):
+    a, b, p = case
+    got = fm.mat_mod(a, b, p)
+    # reduce first, so the int64 reference cannot overflow
+    want = (a % p) @ (b.astype(np.int64) % p) % p
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def codes_and_rows(draw):
+    """A random self-orthogonal code over p in {2, 3, 5} (``symp_extend`` of a
+    random subspace) and rows inside and outside its dual, some unreduced."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
+    dim = draw(st.integers(1, n))
+    entries = st.integers(0, p - 1)
+    gens = draw(st.lists(entries, min_size=dim * 2 * n, max_size=dim * 2 * n))
+    ext, _ = sp.symp_extend(sp.SympSubspace.from_rows(p, n, np.reshape(gens, (dim, 2 * n))))
+    code = StabilizerCode(p, ext.n, ext.basis)
+    width = 2 * code.n
+    outside = draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=width, max_size=width), max_size=6))
+    dual = code.dual.basis
+    coeffs = draw(st.lists(st.lists(entries, min_size=len(dual), max_size=len(dual)), max_size=6))
+    inside = np.array(coeffs, dtype=np.int64).reshape(-1, len(dual)) @ dual
+    rows = np.vstack([np.array(outside, dtype=np.int64).reshape(-1, width), inside])
+    return code, rows, len(inside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_and_rows())
+def test_coset_representatives_match_per_pivot_reference(case):
+    code, rows, n_inside = case
+    p = code.p
+    basis, pivots = fm.rref(code.stab.basis, p)
+    got = code.coset_representatives(rows)
+    assert np.array_equal(got, reduce_rows_per_pivot(basis[: len(pivots)], pivots, rows, p))
+    assert not got[:, pivots].any()
+    # a dual row keeps its syndrome (zero) through the reduction
+    assert not code.syndromes_batch(got[len(rows) - n_inside :]).any()

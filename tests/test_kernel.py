@@ -397,6 +397,45 @@ def test_batched_run_protocol_matches_single_vectors(case, data):
         assert one.discarded == expected[policy.mode]
 
 
+def test_run_protocol_on_f251_sums_beyond_float32():
+    """Over F_251 with n = 137, one stabilizer h = (1, -2, ..., -2 | 2, ..., 2)
+    (RREF as it stands; its syndrome row is -2 on every column but one) and
+    error entries mostly -1, the rest -2, mod 251, the exact syndrome sums
+    run past 2^24, where float32 stops holding odd integers. The batched
+    kernel must still match int64 references and the scalar syndrome ->
+    decode -> logical-class path, with rows on the empty erased set and on
+    two one-position sets."""
+    p, n = 251, 137
+    h = np.concatenate([[1], np.full(n - 1, p - 2), np.full(n, 2)])
+    code = StabilizerCode(p, n, [h])
+    assert np.array_equal(code.stab.basis[0], h)
+    spec = BreedingProtocolSpec(code, frozenset(), EaqeccParams(p=p, n=n, gross_k=code.k, c=0, d=None))
+    rng = np.random.default_rng(251)
+    errors = rng.choice([p - 1, p - 2], size=(9, 2 * n), p=[0.9, 0.1])
+    check = sp.syndrome_matrix(h[None, :], p)[0]
+    # the first three rows sit on the empty erased set; decoding them needs
+    # no class past weight 0, so position 0's a gives them a zero syndrome
+    errors[:3, 0] = 0
+    errors[:3, 0] = (-(errors[:3] @ check) * pow(int(check[0]), -1, p)) % p
+    sets = [frozenset()] * 3 + [frozenset({7})] * 3 + [frozenset({100})] * 3
+    sums = errors @ check
+    assert sums.min() > 1 << 24 and np.any(sums % 2)
+    out = run_protocol(spec, ErrorPattern(errors, erasure_mask(sets, n)))
+    assert np.array_equal(out.combined_syndrome[:, 0], sums % p)
+    assert not out.combined_syndrome[:3].any()
+    for r, (err, erased) in enumerate(zip(errors, sets)):
+        syn = code.syndrome(err)
+        decoded = code.decode(syn, erased)
+        logical = code.logical_class(err - decoded)
+        residual = (err - decoded) % p
+        assert out.combined_syndrome[r].tolist() == list(syn)
+        assert np.array_equal(out.decoded[r], decoded)
+        assert tuple(out.logical[r].tolist()) == logical.representative
+        # int64 reference: h is the RREF basis, with its pivot on column 0
+        assert np.array_equal(out.logical[r], (residual - residual[0] * h) % p)
+        assert bool(out.success[r]) == logical.is_identity
+
+
 def per_row_verify(spec):
     """(passed, patterns, counterexample error, its erased set) of the guarantee
     check, one run_protocol call per pattern, in (e, t, erased set, row) order."""
