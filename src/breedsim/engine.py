@@ -8,7 +8,9 @@ erasure knowledge), and ask whether the residual lies in the stabilizer.
 ``run_protocol`` is the one kernel for that step. It takes one error vector
 or a batch of rows, each row with its own erased set (or one set for all);
 guarantee verification, Monte Carlo simulation and the exact oracle all run
-their rows through it, one call per block of rows.
+their rows through it, one call per block of rows. Verification joins the
+patterns of every (e, t) into those blocks, and the oracle stacks the rows of
+many erased subsets into one call.
 """
 
 from __future__ import annotations
@@ -157,11 +159,17 @@ def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> np.ndar
     if err.ndim not in (1, 2) or err.shape[-1] != 2 * n:
         raise ValueError(f"error vector must have length {2 * n}")
     mask = erasure_mask(pattern.erased, n, err.shape[:-1]).reshape(-1, n)
-    for i in spec.ebit_positions:
-        if np.any(err[..., i]) or np.any(err[..., n + i]):
+    ebits = np.fromiter(spec.ebit_positions, dtype=np.int64)
+    rows = err.reshape(-1, 2 * n)
+    carries = np.any(rows[:, ebits] != 0, axis=0) | np.any(rows[:, n + ebits] != 0, axis=0)
+    erased = np.any(mask[:, ebits], axis=0)
+    bad = np.flatnonzero(carries | erased)
+    if len(bad):
+        # the first bad ebit reports its error before its erasure
+        i = int(ebits[bad[0]])
+        if carries[bad[0]]:
             raise ValueError(f"preshared pair at position {i} cannot carry an error")
-        if mask[:, i].any():
-            raise ValueError(f"preshared pair at position {i} cannot be erased")
+        raise ValueError(f"preshared pair at position {i} cannot be erased")
     return mask
 
 
@@ -190,6 +198,46 @@ def run_protocol(
         bool(success[0]),
         bool(discarded[0]),
     )
+
+
+def _guarantee_rows(p: int, n: int, noisy: Tuple[int, ...], weights: dict):
+    """The patterns of ``verify_guarantee`` as blocks of (error rows, erasure
+    mask rows), in the order (e, t, erased set, error support, contents)."""
+    q = p * p
+    m = len(noisy)
+    for e, ts in weights.items():
+        erased_sets = list(itertools.combinations(noisy, e))
+        masks = np.zeros((len(erased_sets), n), dtype=bool)
+        for j, erased in enumerate(erased_sets):
+            masks[j, list(erased)] = True
+        for t in ts:
+            supports = (
+                erased + err
+                for erased in erased_sets
+                for err in itertools.combinations([i for i in noisy if i not in erased], t)
+            )
+            per_set = comb(m - e, t) * (q - 1) ** (e + t)
+            done = 0
+            for rows in sp.support_vectors(n, p, supports):
+                owner = (done + np.arange(len(rows))) // per_set
+                done += len(rows)
+                yield rows, masks[owner]
+
+
+def _regroup(blocks, size: int):
+    """The rows of a stream of (error rows, mask rows) blocks, in order, as
+    blocks of exactly ``size`` rows (the last may be shorter)."""
+    held, count = [], 0
+    for rows, masks in blocks:
+        while len(rows):
+            take = min(size - count, len(rows))
+            held.append((rows[:take], masks[:take]))
+            rows, masks, count = rows[take:], masks[take:], count + take
+            if count == size:
+                yield tuple(np.concatenate(part) for part in zip(*held))
+                held, count = [], 0
+    if held:
+        yield tuple(np.concatenate(part) for part in zip(*held))
 
 
 def verify_guarantee(
@@ -233,31 +281,18 @@ def verify_guarantee(
             f"guarantee verification enumerates {work} weight-class vectors, over cap {ENUM_CAP}"
         )
 
-    # rows come per (e, t) in the order (erased set, error support, contents);
-    # each block of rows is one kernel call with a per-row erasure mask
+    # rows come in the order (e, t, erased set, error support, contents), each
+    # with its erased set as a mask row; a kernel call takes the next block of
+    # at most max_rows of them, across (e, t)
+    max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n))
     patterns = 0
-    for e, ts in weights.items():
-        erased_sets = list(itertools.combinations(noisy, e))
-        masks = np.zeros((len(erased_sets), n), dtype=bool)
-        for j, erased in enumerate(erased_sets):
-            masks[j, list(erased)] = True
-        for t in ts:
-            supports = (
-                erased + err
-                for erased in erased_sets
-                for err in itertools.combinations([i for i in noisy if i not in erased], t)
-            )
-            per_set = comb(m - e, t) * (q - 1) ** (e + t)
-            done = 0
-            for rows in sp.support_vectors(n, code.p, supports):
-                owner = (done + np.arange(len(rows))) // per_set
-                done += len(rows)
-                failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, masks[owner])).success)
-                if len(failed):
-                    first = int(failed[0])
-                    counterexample = ErrorPattern(rows[first].copy(), erased_sets[owner[first]])
-                    return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
-                patterns += len(rows)
+    for rows, masks in _regroup(_guarantee_rows(code.p, n, noisy, weights), max_rows):
+        failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, masks)).success)
+        if len(failed):
+            first = int(failed[0])
+            counterexample = ErrorPattern(rows[first].copy(), np.flatnonzero(masks[first]))
+            return GuaranteeCertificate(False, patterns + first + 1, d, counterexample)
+        patterns += len(rows)
     return GuaranteeCertificate(True, patterns, d)
 
 
@@ -362,7 +397,11 @@ def exact_fidelity(
 
     Sums q^m error rows (q = p^2, m noisy pairs) for every erased subset of
     nonzero probability (2^m of them when 0 < erasure < 1, else one), and
-    refuses before the first kernel call when that exceeds max_terms.
+    refuses before the first kernel call when that exceeds max_terms. A kernel
+    call stacks the rows of as many subsets as fit sp.BLOCK_ENTRIES // (2n)
+    rows, each subset with its own erasure mask (a larger subset gets a call
+    of its own); each subset's probabilities are still summed on their own,
+    in subset order.
     """
     code = spec.extended_code
     p = code.p
@@ -370,10 +409,10 @@ def exact_fidelity(
     m = len(noisy)
     q = p * p
     er = channel.erasure
-    subsets = 2**m if 0.0 < er < 1.0 else 1
-    if q**m * subsets > max_terms:
+    count = 2**m if 0.0 < er < 1.0 else 1
+    if q**m * count > max_terms:
         raise FeasibilityError(
-            f"exact sum needs {q}^{m} terms times {subsets} erased subsets, over cap {max_terms}"
+            f"exact sum needs {q}^{m} terms times {count} erased subsets, over cap {max_terms}"
         )
     rate = channel.depolarizing
     idx = np.arange(q**m, dtype=np.int64)
@@ -386,21 +425,32 @@ def exact_fidelity(
     errors[:, n_total + pos] = digits % p
     depol_prob = np.where(digits == 0, 1.0 - rate, rate / (q - 1) if q > 1 else 0.0)
 
-    total_good = 0.0
-    total_accept = 0.0
+    subsets = []
     for e in range(m + 1):
         subset_prob = er**e * (1.0 - er) ** (m - e)
-        if subset_prob == 0.0:
-            continue
-        for erased_local in itertools.combinations(range(m), e):
-            mask = np.ones(m, dtype=bool)
-            mask[list(erased_local)] = False
-            prob = depol_prob[:, mask].prod(axis=1) * (1.0 / q) ** e * subset_prob
-            erased_set = frozenset(noisy[j] for j in erased_local)
-            outcome = run_protocol(spec, ErrorPattern(errors, erased_set), postselect)
-            accept = ~outcome.discarded
-            total_accept += float(prob[accept].sum())
-            total_good += float(prob[outcome.success & accept].sum())
+        if subset_prob != 0.0:
+            subsets += [(list(local), subset_prob) for local in itertools.combinations(range(m), e)]
+    size = len(idx)
+    per_call = min(len(subsets), max(1, sp.BLOCK_ENTRIES // (2 * n_total) // size))
+    stacked = np.tile(errors, (per_call, 1)) if per_call > 1 else errors
+    total_good = 0.0
+    total_accept = 0.0
+    for start in range(0, len(subsets), per_call):
+        group = subsets[start : start + per_call]
+        masks = np.zeros((len(group), n_total), dtype=bool)
+        for j, (local, _) in enumerate(group):
+            masks[j, pos[local]] = True
+        rows = ErrorPattern(stacked[: len(group) * size], np.repeat(masks, size, axis=0))
+        outcome = run_protocol(spec, rows, postselect)
+        accept = ~outcome.discarded
+        good = outcome.success & accept
+        for j, (local, subset_prob) in enumerate(group):
+            live = np.ones(m, dtype=bool)
+            live[local] = False
+            prob = depol_prob[:, live].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
+            block = slice(j * size, (j + 1) * size)
+            total_accept += float(prob[accept[block]].sum())
+            total_good += float(prob[good[block]].sum())
     if postselect.mode == "none":
         return ExactFidelity(total_good)
     return ExactFidelity(total_good / total_accept if total_accept else 0.0, total_accept)

@@ -252,6 +252,17 @@ class _SiblingGroup:
         return ok
 
 
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether base ** exponent > cap, for base >= 2: exact integer products,
+    at most log2(cap) + 1 of them, so never a float and never a huge integer."""
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > cap:
+            return True
+    return False
+
+
 def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     """Search for a self-orthogonal dim-(n-k) subspace with distance >= d_min.
 
@@ -263,7 +274,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
     p, n, m = q.p, q.n, q.n - q.k
-    if float(p) ** (2 * n * m) > FEASIBILITY_CAP:
+    if _power_exceeds(p, 2 * n * m, FEASIBILITY_CAP):
         raise FeasibilityError(
             f"projected node bound ({p}^{2 * n})^{m} exceeds {FEASIBILITY_CAP}"
         )

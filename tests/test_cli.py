@@ -211,6 +211,8 @@ SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
         # unreadable catalog files are validation failures, not tracebacks
         (["compare", "--catalog", "/nonexistent/catalog.txt"], 1),
         (ANALYZE[:2] + [str(Path(__file__).parent)], 1),
+        # a node bound too large for a float is still a refusal, not a traceback
+        (["search", "--p", "2", "--n", "30", "--k", "1", "--dmin", "2"], 3),
     ],
 )
 def test_bad_input_exit_codes(argv, expected, capsys):

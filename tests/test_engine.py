@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import breedsim
+from breedsim import engine
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
 from breedsim.codes import FeasibilityError, StabilizerCode
@@ -120,6 +121,17 @@ class TestRunProtocol:
             run_protocol(
                 breeding_spec, ErrorPattern(np.zeros(12, dtype=np.int64), frozenset({5}))
             )
+
+    def test_first_bad_ebit_reports_error_before_erasure(self):
+        code = five_qubit_copies(1)
+        params = EaqeccParams(p=2, n=1, gross_k=1, c=4, d=3)
+        spec = BreedingProtocolSpec(code, frozenset({1, 2, 3, 4}), params)
+        errors = np.zeros((2, 10), dtype=np.int64)
+        errors[1, 5 + 3] = 1
+        with pytest.raises(ValueError, match="position 3 cannot carry an error"):
+            run_protocol(spec, ErrorPattern(errors, frozenset({3})))
+        with pytest.raises(ValueError, match="position 2 cannot be erased"):
+            run_protocol(spec, ErrorPattern(errors, frozenset({0, 2})))
 
 
 class TestVerifyGuarantee:
@@ -408,6 +420,122 @@ class TestExactFidelity:
         assert abs(res.fidelity - want) < 1e-12
         if post.mode != "none":
             assert abs(res.acceptance - accept) < 1e-12
+
+
+STEANE = [
+    "0001111|0000000", "0110011|0000000", "1010101|0000000",
+    "0000000|0001111", "0000000|0110011", "0000000|1010101",
+]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The row count of every run_protocol call the engine makes."""
+    calls = []
+
+    def counted(spec, pattern, *args):
+        calls.append(len(np.atleast_2d(pattern.error)))
+        return run_protocol(spec, pattern, *args)
+
+    monkeypatch.setattr(engine, "run_protocol", counted)
+    return calls
+
+
+def exact_reference(spec, channel, postselect):
+    """exact_fidelity as one run_protocol call per erased subset, summed in
+    the same subset order."""
+    code = spec.extended_code
+    p, n = code.p, code.n
+    noisy = list(spec.noisy_positions)
+    m, q = len(noisy), p * p
+    rate, er = channel.depolarizing, channel.erasure
+    digits = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.int64)
+    errors = np.zeros((len(digits), 2 * n), dtype=np.int64)
+    errors[:, noisy] = digits // p
+    errors[:, [n + i for i in noisy]] = digits % p
+    depol = np.where(digits == 0, 1.0 - rate, rate / (q - 1))
+    good = accept = 0.0
+    for e in range(m + 1):
+        subset_prob = er**e * (1.0 - er) ** (m - e)
+        if subset_prob == 0.0:
+            continue
+        for local in itertools.combinations(range(m), e):
+            live = np.ones(m, dtype=bool)
+            live[list(local)] = False
+            prob = depol[:, live].prod(axis=1) * (1.0 / q) ** e * subset_prob
+            erased = frozenset(noisy[j] for j in local)
+            outcome = run_protocol(spec, ErrorPattern(errors, erased), postselect)
+            kept = ~outcome.discarded
+            accept += float(prob[kept].sum())
+            good += float(prob[outcome.success & kept].sum())
+    if postselect.mode == "none":
+        return good, 1.0
+    return (good / accept if accept else 0.0), accept
+
+
+class TestKernelCalls:
+    def test_verify_is_one_call(self, breeding_spec, kernel_calls):
+        steane = StabilizerCode(2, 7, [v(g) for g in STEANE])
+        assert verify_guarantee(convert_pure(steane, set())).passed
+        assert verify_guarantee(breeding_spec).passed
+        assert len(kernel_calls) == 2
+
+    def test_exact_fidelity_is_one_call(self, kernel_calls):
+        spec = convert_pure(five_qubit_copies(1), {4})
+        exact_fidelity(spec, Channel(2, 0.1, 0.1))
+        # 4^4 error rows for each of the 2^4 erased subsets
+        assert kernel_calls == [4**4 * 2**4]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 32])
+    @pytest.mark.parametrize(
+        "p, generators, ebits, claimed",
+        [
+            (2, ["10010|01100", "01001|00110", "10100|00011", "01010|10001"], (), 3),
+            (2, ["10010|01100", "01001|00110", "10100|00011", "01010|10001"], (), 4),
+            (3, ["10020|01200", "01002|00120", "20100|00012", "02010|20001"], (4,), 4),
+            (2, ["111111|000000", "000000|111111"], (5,), 2),
+        ],
+    )
+    def test_verify_blocks_split_at_the_bound(
+        self, p, generators, ebits, claimed, block_rows, kernel_calls, monkeypatch
+    ):
+        def spec():
+            code = StabilizerCode(p, len(generators[0]) // 2, [v(g, p) for g in generators])
+            params = EaqeccParams(p=p, n=code.n - len(ebits), gross_k=code.k, c=len(ebits), d=claimed)
+            return BreedingProtocolSpec(code, frozenset(ebits), params)
+
+        want = verify_guarantee(spec())
+        kernel_calls.clear()
+        n = len(generators[0]) // 2
+        monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
+        got = verify_guarantee(spec())
+        assert (got.passed, got.patterns) == (want.passed, want.patterns)
+        if not want.passed:
+            assert np.array_equal(got.counterexample.error, want.counterexample.error)
+            assert got.counterexample.erased == want.counterexample.erased
+        # every call but the last is full; the last holds the counterexample or the rest
+        assert all(rows == block_rows for rows in kernel_calls[:-1])
+        assert len(kernel_calls) == -(-got.patterns // block_rows)
+
+    @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:1"])
+    @pytest.mark.parametrize("subsets_per_call", [3, 0])
+    @pytest.mark.parametrize("which", ["breeding", "qutrit"])
+    def test_exact_fidelity_small_blocks(
+        self, breeding_spec, qutrit_spec, which, subsets_per_call, policy, kernel_calls, monkeypatch
+    ):
+        spec = {"breeding": breeding_spec, "qutrit": qutrit_spec}[which]
+        p, n, m = spec.extended_code.p, spec.extended_code.n, len(spec.noisy_positions)
+        channel = Channel(p, 0.15, erasure=0.2)
+        post = PostSelect.parse(policy)
+        size = p ** (2 * m)
+        # three subsets per call, or one subset larger than a block
+        block_rows = 3 * size if subsets_per_call else size - 1
+        monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
+        got = exact_fidelity(spec, channel, postselect=post)
+        assert len(kernel_calls) == -(-(2**m) // max(1, subsets_per_call))
+        fidelity, acceptance = exact_reference(spec, channel, post)
+        assert got.fidelity == fidelity
+        assert got.acceptance == acceptance
 
 
 def test_postselect_parsing():

@@ -77,6 +77,15 @@ def test_feasibility_refusal():
         search_codes(SearchQuery(2, 8, 3, 3))
 
 
+def test_power_exceeds_is_exact():
+    assert not search._power_exceeds(10, 8, 10**8)
+    assert search._power_exceeds(10, 9, 10**8)
+    assert not search._power_exceeds(2, 0, 1)
+    # 2^(2 * 30 * 29) is far outside float range; the answer comes after 27 products
+    assert search._power_exceeds(2, 2 * 30 * 29, 10**8)
+    assert not search._power_exceeds(2, 26, 10**8) and search._power_exceeds(2, 27, 10**8)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         SearchQuery(2, 3, 3, 1)  # n - k must be >= 1
