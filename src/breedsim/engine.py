@@ -159,10 +159,13 @@ def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> np.ndar
     if err.ndim not in (1, 2) or err.shape[-1] != 2 * n:
         raise ValueError(f"error vector must have length {2 * n}")
     mask = erasure_mask(pattern.erased, n, err.shape[:-1]).reshape(-1, n)
+    if not spec.ebit_positions:
+        return mask
     ebits = np.fromiter(spec.ebit_positions, dtype=np.int64)
-    rows = err.reshape(-1, 2 * n)
-    carries = np.any(rows[:, ebits] != 0, axis=0) | np.any(rows[:, n + ebits] != 0, axis=0)
-    erased = np.any(mask[:, ebits], axis=0)
+    # per ebit: whether any row is nonzero in its a or its b column
+    columns = err.reshape(-1, 2 * n)[:, np.concatenate([ebits, n + ebits])]
+    carries = columns.any(axis=0).reshape(2, -1).any(axis=0)
+    erased = mask[:, ebits].any(axis=0)
     bad = np.flatnonzero(carries | erased)
     if len(bad):
         # the first bad ebit reports its error before its erasure
