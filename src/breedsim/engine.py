@@ -284,9 +284,7 @@ def verify_guarantee(
             f"guarantee verification enumerates {work} weight-class vectors, over cap {ENUM_CAP}"
         )
 
-    # rows come in the order (e, t, erased set, error support, contents), each
-    # with its erased set as a mask row; a kernel call takes the next block of
-    # at most max_rows of them, across (e, t)
+    # a kernel call takes the next max_rows patterns, across (e, t)
     max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n))
     patterns = 0
     for rows, masks in _regroup(_guarantee_rows(code.p, n, noisy, weights), max_rows):
@@ -443,8 +441,8 @@ def exact_fidelity(
         masks = np.zeros((len(group), n_total), dtype=bool)
         for j, (local, _) in enumerate(group):
             masks[j, pos[local]] = True
-        rows = ErrorPattern(stacked[: len(group) * size], np.repeat(masks, size, axis=0))
-        outcome = run_protocol(spec, rows, postselect)
+        pattern = ErrorPattern(stacked[: len(group) * size], np.repeat(masks, size, axis=0))
+        outcome = run_protocol(spec, pattern, postselect)
         accept = ~outcome.discarded
         good = outcome.success & accept
         for j, (local, subset_prob) in enumerate(group):
