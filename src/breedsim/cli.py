@@ -9,6 +9,7 @@ Exit codes: 0 success/PASS, 1 validation failure or FAIL, 2 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -291,9 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads argv with, built on the first call; parsing
+    leaves it unchanged, so one serves every call of a process."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except FeasibilityError as exc:

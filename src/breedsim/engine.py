@@ -40,7 +40,8 @@ class ErrorPattern:
     erased: Union[FrozenSet[int], np.ndarray] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "error", np.asarray(self.error, dtype=np.int64))
+        # a view, so the caller's own array stays writable
+        object.__setattr__(self, "error", np.asarray(self.error, dtype=np.int64).view())
         self.error.setflags(write=False)
         if isinstance(self.erased, np.ndarray) and self.erased.dtype == bool:
             object.__setattr__(self, "erased", self.erased.view())

@@ -7,18 +7,21 @@ a child u are the children of P that pivot after u, are zero on u's pivot and
 are orthogonal to u. The distance filter is exact: a finished subspace has
 d >= d_min iff no vector of symplectic weight below d_min lies in the dual
 outside the code: a leaf c of child u passes iff P's reduced low-weight rows
-orthogonal to u and c, counted by one Gram product, all lie on the lines of
-span(u, c) (see ``_SiblingGroup``). Node counts are replayed over each block
-in DFS order, so verdicts, counts and witnesses are those of a leaf-by-leaf
-search. Symplectic products are float32 dot products with partner rows, exact
-because every one is an integer below 2^24.
+orthogonal to u and c all lie on the lines of span(u, c). Those rows are kept
+as their lines, each weighted by the rows on it, and counted by one Gram
+product; each leaf is tested against the lines once per sibling group, and
+only the passing (child, leaf) pairs are kept (see ``_SiblingGroup``). Node
+counts are replayed over each block in DFS order, so verdicts, counts and
+witnesses are those of a leaf-by-leaf search. Symplectic products are float32
+dot products with partner rows, exact because every one is an integer below
+2^24.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -148,7 +151,9 @@ class _VectorTable:
         The sibling-group filter on the one child that adds no row."""
         group = _SiblingGroup(self, chosen, pivots, idx)
         no_row = np.zeros(1, dtype=np.int64)
-        return group.survivors(no_row, group.leaf_candidates(no_row))[0]
+        ok = np.zeros(len(idx), dtype=bool)
+        ok[group.survivors(no_row, group.leaf_candidates(no_row))[1]] = True
+        return ok
 
 
 class _SiblingGroup:
@@ -162,14 +167,19 @@ class _SiblingGroup:
     leaves.
 
     The filter is exact. S holds the low-weight rows orthogonal to chosen,
-    reduced against it, as distinct rows with multiplicity weights w. chosen
-    + u + c has no vector of weight below d_min in its dual outside its span
-    iff each row of S orthogonal to u and c lies on the line of u, of c or of
-    some u + gamma c. With mu[v] the weight of S on the nonzero multiples of
-    a monic v (mu[0] = 0), c passes iff G[u, c] - mu[u] - mu[c], G the Gram
-    product O_u^T diag(w) O_c of orthogonality flags, equals the line sum of
-    mu[monic(u + gamma c)], gamma != 0 (0 for the zero child); only a left
-    side in (0, (p - 1) max mu] needs it. Blocks hold ~BLOCK_ENTRIES entries.
+    reduced against it. chosen + u + c has no vector of weight below d_min in
+    its dual outside its span iff each row of S orthogonal to u and c lies on
+    the line of u, of c or of some u + gamma c. A row's orthogonality flags
+    are those of its line, so S is kept as lines: the monic vectors mu_keys,
+    each weighted by mu, the number of rows of S on it (mu[0] = 0 for the
+    zero line, where rows inside span(chosen) land). c passes iff
+    G[u, c] - mu[u] - mu[c], G the Gram product O_u^T diag(mu) O_c of
+    orthogonality flags, equals the line sum of mu[monic(u + gamma c)],
+    gamma != 0 (0 for the zero child); only a left side in
+    (0, (p - 1) max mu] needs it. Survivors are returned as (child, leaf)
+    pairs. Blocks hold ~BLOCK_ENTRIES entries; when the children span several
+    blocks, ``share_leaf_flags`` tests each leaf against S once for all of
+    them, otherwise each block tests its leaves a chunk at a time.
     """
 
     def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
@@ -177,13 +187,14 @@ class _SiblingGroup:
         sel = table.low_weight
         if len(pivots) and len(sel):
             sel = fm.reduce_rows(chosen, pivots, sel[table.orthogonal(sel, chosen).all(axis=1)], table.p)
-        # rows inside span(chosen) never disqualify: the zero row gets weight 0,
-        # which also makes mu[0] = 0 the first of mu's sorted monic keys
-        idx, weights = np.unique(np.append(sel @ table.radix, 0), return_counts=True)
-        weights[0] = 0
-        self.rows, self.weights = table.vectors[idx].astype(np.float32), weights.astype(np.float32)
-        self.mu_keys, line = np.unique(table.monic_keys(table.vectors[idx]), return_inverse=True)
-        self.mu_values = np.bincount(line, self.weights).astype(np.float32)
+        # the appended zero makes the zero line the first key; rows inside
+        # span(chosen) never disqualify, so it weighs 0
+        self.mu_keys, counts = np.unique(np.append(table.monic_keys(sel), 0), return_counts=True)
+        counts[0] = 0
+        self.mu_values = counts.astype(np.float32)
+        self.lines = table.vectors[self.mu_keys]
+        #: flags[l, c]: lines[l] is orthogonal to leaves[c]; set by share_leaf_flags
+        self.flags: Optional[np.ndarray] = None
 
     def mu(self, idx: np.ndarray) -> np.ndarray:
         """The weight of S on the line of each monic vector (or zero) of idx."""
@@ -201,17 +212,31 @@ class _SiblingGroup:
         """How many leaves, from the first, pivot after each child."""
         return np.searchsorted(self.leaves, self.table.after[self.table.first_nz[kids] + 1])
 
-    def blocks(self, kids: np.ndarray) -> Iterator[slice]:
+    def blocks(self, kids: np.ndarray) -> List[slice]:
         """Consecutive blocks of kids, each as large as its intermediates allow."""
-        ends = np.maximum(self.ends(kids), len(self.rows))
-        start = 0
+        ends = np.maximum(self.ends(kids), len(self.lines))
+        blocks, start = [], 0
         while start < len(kids):
             # a block of count kids holds count * max(widest prefix, |S|) entries
             widest = np.maximum.accumulate(ends[start : start + BLOCK_ENTRIES])
             entries = widest * np.arange(1, len(widest) + 1)
             count = max(1, int(np.searchsorted(entries, BLOCK_ENTRIES, side="right")))
-            yield slice(start, start + count)
+            blocks.append(slice(start, start + count))
             start += count
+        return blocks
+
+    def share_leaf_flags(self, kids: np.ndarray) -> None:
+        """Test the leaves that pivot after some child against S's lines once,
+        for every block of kids; |lines| x leaves bools, built a chunk at a time.
+        A group with several children has m >= 2, where the feasibility cap
+        keeps p^(2n) <= 10^4, so the table stays below 17 MB."""
+        t = self.table
+        leaves = self.leaves[: self.ends(kids).max(initial=0)]
+        self.flags = np.empty((len(self.lines), len(leaves)), dtype=bool)
+        step = max(1, BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
+        for start in range(0, len(leaves), step):
+            cols = leaves[start : start + step]
+            self.flags[:, start : start + len(cols)] = t.orthogonal(self.lines, t.vectors[cols])
 
     def leaf_candidates(self, kids: np.ndarray) -> np.ndarray:
         """cand[j, c]: leaves[c] is a leaf under kids[j], over the leaves
@@ -219,37 +244,43 @@ class _SiblingGroup:
         t = self.table
         leaves = self.leaves[: self.ends(kids).max(initial=0)]
         u = t.vectors[kids]
-        limits = t.after[t.first_nz[kids] + 1][:, None]
+        # free[j, i]: a leaf with pivot i may sit under kids[j] (u pivots before i and is zero there)
+        free = (u == 0) & (np.arange(2 * t.n) > t.first_nz[kids][:, None])
         cand = np.empty((len(kids), len(leaves)), dtype=bool)
         step = max(1, BLOCK_ENTRIES // max(len(kids), 2 * t.n))
         for start in range(0, len(leaves), step):
             cols = leaves[start : start + step]
-            pivot_ok = (cols < limits) & (u[:, t.first_nz[cols]] == 0)
-            cand[:, start : start + len(cols)] = pivot_ok & t.orthogonal(u, t.vectors[cols])
+            cand[:, start : start + len(cols)] = free[:, t.first_nz[cols]] & t.orthogonal(u, t.vectors[cols])
         return cand
 
-    def survivors(self, kids: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """The leaf candidates cand of kids that pass the distance filter."""
+    def survivors(self, kids: np.ndarray, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The leaf candidates cand of kids that pass the distance filter, as
+        (child position, leaf position) pairs ordered by child, then leaf."""
         t = self.table
-        gram_u = t.orthogonal(self.rows, t.vectors[kids]).T * self.weights
-        gram_u[:, 0] = -self.mu(kids)  # the zero row is orthogonal to every leaf: it subtracts mu[u]
+        gram_u = t.orthogonal(self.lines, t.vectors[kids]).T * self.mu_values
+        gram_u[:, 0] = -self.mu(kids)  # the zero line is orthogonal to every leaf: it subtracts mu[u]
         bound = np.where(kids != 0, (t.p - 1) * self.mu_values.max(), 0)[:, None]
-        ok = np.zeros_like(cand)
-        step = max(1, BLOCK_ENTRIES // max(len(kids), len(self.rows), 2 * t.n))
+        found_j, found_c = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        step = max(1, BLOCK_ENTRIES // max(len(kids), len(self.lines), 2 * t.n))
         pair_step = max(1, BLOCK_ENTRIES // (2 * t.n))
         for start in range(0, cand.shape[1] if len(kids) else 0, step):
             at = start + np.flatnonzero(cand[:, start : start + step].any(axis=0))  # under some child
             cols = self.leaves[at]
-            excess = gram_u @ t.orthogonal(self.rows, t.vectors[cols]).astype(np.float32)
+            flags = t.orthogonal(self.lines, t.vectors[cols]) if self.flags is None else self.flags[:, at]
+            excess = gram_u @ flags.astype(np.float32)
             excess -= self.mu(cols)  # in place: exact small integers in float32
-            block = cand[:, at] & (excess <= bound)
             # excess >= 0 on leaf candidates; a 1-D nonzero is far faster on sparse flags
-            open_j, open_c = np.divmod(np.flatnonzero(block & (excess != 0)), len(cols))
-            for first in range(0, len(open_j), pair_step):
-                j, c = open_j[first : first + pair_step], open_c[first : first + pair_step]
-                block[j, c] = excess[j, c] == self.line_sums(kids[j], cols[c])
-            ok[:, at] = block
-        return ok
+            j, c = np.divmod(np.flatnonzero(cand[:, at] & (excess <= bound)), len(cols))
+            left = excess[j, c]
+            open_ = np.flatnonzero(left)
+            for first in range(0, len(open_), pair_step):
+                o = open_[first : first + pair_step]
+                left[o] -= self.line_sums(kids[j[o]], cols[c[o]])
+            found_j.append(j[left == 0])
+            found_c.append(at[c[left == 0]])
+        j, c = np.concatenate(found_j), np.concatenate(found_c)
+        order = np.argsort(j, kind="stable")  # chunks ascend by leaf, so each child's leaves stay ascending
+        return j[order], c[order]
 
 
 def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
@@ -298,7 +329,10 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
 
     def last_levels(chosen: np.ndarray, pivots: List[int], kids: np.ndarray, leaves: np.ndarray):
         group = _SiblingGroup(table, chosen, pivots, leaves)
-        for block in group.blocks(kids):
+        blocks = group.blocks(kids)
+        if len(blocks) > 1:
+            group.share_leaf_flags(kids)
+        for block in blocks:
             block = kids[block]
             cand = group.leaf_candidates(block)
             # each child costs a node (the zero row stands for none), then its leaves do
@@ -306,10 +340,10 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
             total = budget.nodes + np.cumsum(spent)
             # the first spend past the cap ends the search; children before it are checked
             stop = int(np.searchsorted(total, budget.cap, side="right"))
-            ok = group.survivors(block[: stop // 2], cand[: stop // 2])
-            for j in np.flatnonzero(ok.any(axis=1)):
+            kid_pos, leaf_pos = group.survivors(block[: stop // 2], cand[: stop // 2])
+            for j in np.unique(kid_pos):
                 head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
-                for i in ordered(leaves[: ok.shape[1]][ok[j]]):
+                for i in ordered(leaves[leaf_pos[kid_pos == j]]):
                     code = validate(head + [vectors[i]])
                     if code is not None:
                         budget.nodes = int(total[2 * j + 1])

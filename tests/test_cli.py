@@ -223,3 +223,41 @@ def test_bad_input_exit_codes(argv, expected, capsys):
     assert code == expected
     if expected == 1:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    from breedsim import cli
+
+    argvs = [
+        ["analyze", "--code", "six_four_two"],
+        ["search", "--p", "x"],
+        ["search", "--p", "2", "--n", "4", "--k", "2", "--dmin", "2", "--format", "jsonl"],
+        ["compare", "--format", "tsv"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            try:
+                results.append(run_cli(*argv))
+            except SystemExit as exc:
+                results.append((exc.code, ""))
+        return results
+
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    shared = run_all()
+    assert len(builds) == 1
+    # the reference builds a fresh parser on every call
+    monkeypatch.setattr(cli, "_parser", counted_build)
+    assert run_all() == shared
+    assert len(builds) == 1 + len(argvs)
+    assert [code for code, _ in shared] == [0, 2, 0, 0]
+    assert all(out for code, out in shared if code == 0)

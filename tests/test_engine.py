@@ -116,6 +116,14 @@ class TestRunProtocol:
             with pytest.raises(ValueError, match="out of range"):
                 run_protocol(breeding_spec, ErrorPattern(errors, frozenset({outside})))
 
+    def test_pattern_leaves_the_callers_arrays_writable(self):
+        error, mask = np.zeros(4, dtype=np.int64), np.zeros(2, dtype=bool)
+        pattern = ErrorPattern(error, mask)
+        error[0], mask[0] = 1, True
+        assert not pattern.error.flags.writeable and not pattern.erased.flags.writeable
+        # a view, not a copy: the pattern shares the caller's memory
+        assert pattern.error.base is error and pattern.error[0] == 1
+
     def test_erasure_on_ebit_position_rejected(self, breeding_spec):
         with pytest.raises(ValueError, match="preshared"):
             run_protocol(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -245,8 +247,9 @@ def passing_leaves(table, parent, pivots, kid_row):
     leaves = table.candidates(parent, pivots)
     group = search._SiblingGroup(table, parent, pivots, leaves)
     kid = np.array([kid_row @ table.radix])
-    ok = group.survivors(kid, group.leaf_candidates(kid))
-    return [sp.to_string(table.vectors[i]) for i in leaves[: ok.shape[1]][ok[0]]]
+    kid_pos, leaf_pos = group.survivors(kid, group.leaf_candidates(kid))
+    assert not kid_pos.any()
+    return [sp.to_string(table.vectors[i]) for i in leaves[leaf_pos]]
 
 
 @pytest.mark.parametrize("p, chosen, leaf", IMPURE_CODES)
@@ -304,6 +307,20 @@ def test_leaf_filter_matches_exact_distance(case):
     check_leaf_filter(p, n, rows, d_min, limit=24)
 
 
+def filtered_blocks(group, kids):
+    """Each block of kids with its leaf candidates and its survivors as a
+    dense (kids, leaves) mask, the leaf flags shared as in ``search_codes``."""
+    blocks = group.blocks(kids)
+    if len(blocks) > 1:
+        group.share_leaf_flags(kids)
+    for block in blocks:
+        cand = group.leaf_candidates(kids[block])
+        kid_pos, leaf_pos = group.survivors(kids[block], cand)
+        ok = np.zeros_like(cand)
+        ok[kid_pos, leaf_pos] = True
+        yield kids[block], cand, ok
+
+
 #: largest n per field for the random sibling-group check (p^(2n) <= 15625)
 GROUP_MAX_N = {2: 4, 3: 4, 5: 3}
 
@@ -331,6 +348,83 @@ def sibling_groups(draw):
     return p, n, d_min, chosen, pivots, np.array(kids, dtype=np.int64), block_entries
 
 
+@st.composite
+def ordered_sibling_groups(draw):
+    """A parent and d_min as in ``sibling_groups``; its children are the zero
+    child alone (the root of an m = 1 search) or up to ten consecutive
+    candidates, in ascending or descending order; a block size, where 2^12
+    splits a block of several children into several leaf chunks."""
+    p, n, d_min, chosen, pivots, _, _ = draw(sibling_groups())
+    block_entries = draw(st.sampled_from([1, 7, 64, 1 << 12, search.BLOCK_ENTRIES]))
+    idx = search._VectorTable(p, n, d_min).candidates(chosen, pivots)
+    order = draw(st.sampled_from(["zero", "asc", "desc"]))
+    if order == "zero" or len(idx) == 0:
+        kids = np.zeros(1, dtype=np.int64)
+    else:
+        start = draw(st.integers(0, len(idx) - 1))
+        kids = idx[start : start + draw(st.integers(1, 10))]
+        kids = kids if order == "asc" else kids[::-1]
+    return p, n, d_min, chosen, pivots, kids, block_entries
+
+
+def check_per_vector(table, chosen, pivots, kids):
+    """Filter kids' leaves block by block, the leaf flags shared as in
+    ``search_codes``, and compare each block with ``per_vector_filter``:
+    the same candidates and the same survivor pairs in the same order."""
+    leaves = table.candidates(chosen, pivots)
+    group = search._SiblingGroup(table, chosen, pivots, leaves)
+    rows, weight = per_vector_s(table, chosen)
+    line_weight = np.bincount(table.monic_keys(table.vectors[rows]), weight, len(table.vectors))
+    assert group.mu(group.mu_keys).tolist() == line_weight[group.mu_keys].tolist()
+    assert set(np.flatnonzero(line_weight)) <= set(group.mu_keys.tolist())
+    blocks = group.blocks(kids)
+    if len(blocks) > 1:
+        group.share_leaf_flags(kids)
+        assert group.flags.dtype == bool
+        assert group.flags.shape == (len(group.mu_keys), group.ends(kids).max())
+    survived = 0
+    for block in blocks:
+        cand = group.leaf_candidates(kids[block])
+        ref_cand, ref_ok = per_vector_filter(table, chosen, leaves, kids[block])
+        width = cand.shape[1]
+        assert np.array_equal(cand, ref_cand[:, :width]) and not ref_cand[:, width:].any()
+        kid_pos, leaf_pos = group.survivors(kids[block], cand)
+        ref_j, ref_c = np.nonzero(ref_ok)
+        assert kid_pos.tolist() == ref_j.tolist() and leaf_pos.tolist() == ref_c.tolist()
+        survived += len(kid_pos)
+    return len(blocks), survived
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(ordered_sibling_groups())
+def test_leaf_filter_matches_per_vector_reference(monkeypatch, case):
+    p, n, d_min, chosen, pivots, kids, block_entries = case
+    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
+    check_per_vector(search._VectorTable(p, n, d_min), chosen, pivots, kids)
+
+
+@pytest.mark.parametrize("order", ["asc", "desc"])
+@pytest.mark.parametrize("block_entries", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "p, n, d_min, chosen_rows", [(2, 6, 2, []), (3, 4, 2, ["1100|0200"]), (2, 5, 2, [])]
+)
+def test_leaf_filter_matches_per_vector_reference_on_wide_groups(
+    p, n, d_min, chosen_rows, block_entries, order, monkeypatch
+):
+    # the roots of [[6,4,2]]_2 (witnesses) and [[5,3,2]]_2 (open pairs, none
+    # pass) and a repeated-row group over F_3, about 48 children each
+    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
+    group, chosen = group_under(p, n, d_min, chosen_rows)
+    pivots = [int(np.argmax(r != 0)) for r in chosen]
+    kids = group.leaves[:: max(1, len(group.leaves) // 48)]
+    blocks, survived = check_per_vector(group.table, chosen, pivots, kids if order == "asc" else kids[::-1])
+    assert blocks > 1 and (survived > 0) == (n != 5)
+
+
 @settings(
     max_examples=80,
     deadline=None,
@@ -343,11 +437,9 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
     table = search._VectorTable(p, n, d_min)
     leaves = table.candidates(chosen, pivots)
     sibling_group = search._SiblingGroup(table, chosen, pivots, leaves)
-    blocks = [kids[block] for block in sibling_group.blocks(kids)]
-    assert [int(kid) for block in blocks for kid in block] == kids.tolist()
-    for block in blocks:
-        cand = sibling_group.leaf_candidates(block)
-        ok = sibling_group.survivors(block, cand)
+    blocks = list(filtered_blocks(sibling_group, kids))
+    assert [int(kid) for block, _, _ in blocks for kid in block] == kids.tolist()
+    for block, cand, ok in blocks:
         assert not (ok & ~cand).any()
         for kid, kid_cand, kid_ok in zip(block, cand, ok):
             rows = np.vstack([chosen, table.vectors[kid]])
@@ -357,6 +449,54 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
             for col in cols[:: max(1, len(cols) // 6)]:
                 code = StabilizerCode(p, n, list(rows) + [table.vectors[leaves[col]]])
                 assert kid_ok[col] == (code.distance >= d_min), table.vectors[leaves[col]]
+
+
+def per_vector_s(table, chosen):
+    """S vector by vector: the distinct low-weight rows orthogonal to the RREF
+    rows chosen, reduced against them, as vector indices with multiplicities;
+    rows inside span(chosen) reduce to zero and are dropped."""
+    p = table.p
+    sel = table.low_weight
+    if len(chosen) and len(sel):
+        sel = sel[(sp.pairwise_products(sel, chosen, p) == 0).all(axis=1)]
+        sel = fm.reduce_rows(chosen, [int(np.argmax(r != 0)) for r in chosen], sel, p)
+    weight = np.bincount(sel @ table.radix, minlength=len(table.vectors))
+    weight[0] = 0
+    rows = np.flatnonzero(weight)
+    return rows, weight[rows]
+
+
+def orthogonal_flags(a, b, p):
+    """[i, j]: <a[i], b[j]>_s = 0, from float64 products (exact far below 2^53)."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    n = a.shape[1] // 2
+    return (a[:, :n] @ b[:, n:].T - a[:, n:] @ b[:, :n].T).astype(np.int64) % p == 0
+
+
+def per_vector_filter(table, chosen, leaves, kids):
+    """The leaf filter pair by pair, over every leaf: dense (kids, leaves)
+    masks of the leaf candidates and of the survivors. A candidate c of child
+    u passes iff the weight of S (distinct rows with multiplicities, tested
+    against this block's kids) orthogonal to u and c equals its weight on
+    span(u, c), summed vector by vector."""
+    p = table.p
+    rows, weight = per_vector_s(table, chosen)
+    dense = np.zeros(len(table.vectors), dtype=np.int64)
+    dense[rows] = weight
+    u, c = table.vectors[kids].astype(np.int64), table.vectors[leaves].astype(np.int64)
+    pivot_u, pivot_c = table.first_nz[kids].astype(np.int64), table.first_nz[leaves].astype(np.int64)
+    cand = (pivot_c > pivot_u[:, None]) & (u[:, pivot_c] == 0) & orthogonal_flags(u, c, p)
+    at = np.flatnonzero(cand.any(axis=0))  # the leaves under some child
+    s_rows = table.vectors[rows]
+    gram = (orthogonal_flags(s_rows, u, p).T * weight) @ orthogonal_flags(s_rows, c[at], p).astype(np.float64)
+    on_span = np.zeros_like(gram)
+    for j, kid in enumerate(kids):
+        for a in range(p) if kid else [0]:  # span(0, c) is the line of c
+            for b in range(p):
+                on_span[j] += dense[(a * u[j] + b * c[at]) % p @ table.radix]
+    ok = np.zeros_like(cand)
+    ok[:, at] = cand[:, at] & (gram == on_span)
+    return cand, ok
 
 
 def group_under(p, n, d_min, chosen_rows):
@@ -374,8 +514,8 @@ def group_under(p, n, d_min, chosen_rows):
 def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
     """Filter every leaf pair under the rows chosen_rows, in blocks, and
     compare about samples of the candidate pairs with the exact distance.
-    Returns the group, the number of pairs that needed a line sum and the
-    (passed, failed) counts of the pairs checked."""
+    Returns the group, its parent rows, the number of pairs that needed a
+    line sum and the (passed, failed) counts of the pairs checked."""
     group, chosen = group_under(p, n, d_min, chosen_rows)
     table, leaves = group.table, group.leaves
     opened, line_sums = [], group.line_sums
@@ -387,30 +527,27 @@ def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
     monkeypatch.setattr(group, "line_sums", counted_line_sums)
     results = {True: 0, False: 0}
     stride = None
-    for block in group.blocks(leaves):
-        kids = leaves[block]
-        cand = group.leaf_candidates(kids)
-        ok = group.survivors(kids, cand)
+    for kids, cand, ok in filtered_blocks(group, leaves):
         pairs = np.argwhere(cand)
         stride = stride or max(1, len(pairs) * len(leaves) // (samples * len(kids)))
         for j, col in pairs[::stride]:
             code = StabilizerCode(p, n, list(chosen) + [table.vectors[kids[j]], table.vectors[leaves[col]]])
             assert ok[j, col] == (code.distance >= d_min), (kids[j], leaves[col])
             results[bool(ok[j, col])] += 1
-    return group, sum(opened), results
+    return group, chosen, sum(opened), results
 
 
 def test_sibling_group_with_repeated_reduced_rows(monkeypatch):
     # under X_1 X_2 2Z_2 over F_3, weight-1 rows such as X_1 and 2 X_2 Z_2 reduce to one row
-    group, opened, results = check_sibling_group(3, 4, 2, ["1100|0200"], 400, monkeypatch)
-    assert group.weights.max() > 1
+    group, chosen, opened, results = check_sibling_group(3, 4, 2, ["1100|0200"], 400, monkeypatch)
+    assert per_vector_s(group.table, chosen)[1].max() > 1
     assert opened > 0
     assert results[True] > 0 and results[False] > 0
 
 
 def test_sibling_group_line_sums_at_the_532_root(monkeypatch):
     # the root group of the [[5,3,2]]_2 certificate: the bound leaves pairs open
-    group, opened, results = check_sibling_group(2, 5, 2, [], 400, monkeypatch)
+    group, _, opened, results = check_sibling_group(2, 5, 2, [], 400, monkeypatch)
     assert opened > 0
     assert results[False] > 0
 
@@ -428,9 +565,9 @@ def test_zero_child_line_sum_is_zero():
 @pytest.mark.parametrize("p, n, d_min, chosen_rows", [(3, 4, 3, ["0100|0112"]), (5, 2, 3, [])])
 def test_line_sums_match_the_span_by_enumeration(p, n, d_min, chosen_rows):
     # the weight of S on span(u, c) off the lines of u and c, counted vector by vector
-    group, _ = group_under(p, n, d_min, chosen_rows)
+    group, chosen = group_under(p, n, d_min, chosen_rows)
     table, leaves = group.table, group.leaves
-    weight = dict(zip((group.rows.astype(np.int64) @ table.radix).tolist(), group.weights.tolist()))
+    weight = dict(zip(*(x.tolist() for x in per_vector_s(table, chosen))))
     kids = np.concatenate([[0], leaves])
     cand = group.leaf_candidates(kids)
     j, c = np.nonzero(cand)
@@ -440,3 +577,37 @@ def test_line_sums_match_the_span_by_enumeration(p, n, d_min, chosen_rows):
         lines = {int(a * w % p @ table.radix) for a in range(p) for w in (u, v)}
         assert total == sum(weight.get(x, 0) for x in span - lines)
     assert got.any() and not got[kids[j] == 0].any()
+
+
+def test_leaf_flags_shared_only_across_blocks(monkeypatch):
+    # an m = 1 search has one group of one child, kids = [0]: it tests its
+    # leaves against S a chunk at a time and never holds an |S| x leaves
+    # table; the root group of [[5,3,2]]_2 spans many blocks and builds one
+    shared, seen = [], []
+    share, survivors = search._SiblingGroup.share_leaf_flags, search._SiblingGroup.survivors
+
+    def counted_share(group, kids):
+        share(group, kids)
+        shared.append((len(group.lines), len(group.leaves), group.flags))
+
+    def checked_survivors(group, kids, cand):
+        seen.append(group.flags is not None)
+        return survivors(group, kids, cand)
+
+    monkeypatch.setattr(search._SiblingGroup, "share_leaf_flags", counted_share)
+    monkeypatch.setattr(search._SiblingGroup, "survivors", checked_survivors)
+    tracemalloc.start()
+    try:
+        assert search_codes(SearchQuery(2, 8, 7, 3)).verdict == "not_exists"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shared == [] and seen == [False]
+    group, _ = group_under(2, 8, 3, [])
+    assert peak < len(group.lines) * len(group.leaves) // 2
+
+    seen.clear()
+    assert search_codes(SearchQuery(2, 5, 3, 2)) == SearchResult("not_exists", 87_978)
+    assert len(shared) == 1 and len(seen) > 1 and all(seen)
+    lines, leaves, flags = shared[0]
+    assert flags.dtype == bool and flags.shape[0] == lines and flags.shape[1] <= leaves
