@@ -341,7 +341,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
             # the first spend past the cap ends the search; children before it are checked
             stop = int(np.searchsorted(total, budget.cap, side="right"))
             kid_pos, leaf_pos = group.survivors(block[: stop // 2], cand[: stop // 2])
-            for j in np.unique(kid_pos):
+            for j in sorted(set(kid_pos.tolist())):
                 head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
                 for i in ordered(leaves[leaf_pos[kid_pos == j]]):
                     code = validate(head + [vectors[i]])
