@@ -192,7 +192,7 @@ class _SiblingGroup:
         self.mu_keys, counts = np.unique(np.append(table.monic_keys(sel), 0), return_counts=True)
         counts[0] = 0
         self.mu_values = counts.astype(np.float32)
-        self.lines = table.vectors[self.mu_keys]
+        self.lines = table.vectors[self.mu_keys].astype(np.float32)
         #: flags[l, c]: lines[l] is orthogonal to leaves[c]; set by share_leaf_flags
         self.flags: Optional[np.ndarray] = None
 
