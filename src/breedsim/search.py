@@ -370,7 +370,12 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
                 return None
         return None
 
-    witness = dfs(np.zeros((0, 2 * n), dtype=np.int64), [])
+    try:
+        witness = dfs(np.zeros((0, 2 * n), dtype=np.int64), [])
+    finally:
+        # dfs holds itself through its closure; unbinding it breaks that cycle,
+        # so the vector table is freed now instead of at a later gc pass
+        dfs = None
     if witness is not None:
         return SearchResult("exists", budget.nodes, witness)
     if budget.exhausted:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,15 @@ def test_power_exceeds_is_exact():
     # 2^(2 * 30 * 29) is far outside float range; the answer comes after 27 products
     assert search._power_exceeds(2, 2 * 30 * 29, 10**8)
     assert not search._power_exceeds(2, 26, 10**8) and search._power_exceeds(2, 27, 10**8)
+
+
+def test_search_leaves_no_reference_cycle():
+    # the DFS closure refers to itself; a cycle would keep the vector table
+    # alive until a later gc pass
+    for params in [(2, 4, 2, 2), (2, 5, 3, 2), (2, 5, 3, 2, False, 100)]:
+        gc.collect()
+        result = search_codes(SearchQuery(*params))
+        assert gc.collect() == 0, result
 
 
 def test_query_validation():
