@@ -318,17 +318,18 @@ def test_leaf_filter_matches_exact_distance(case):
 
 
 def filtered_blocks(group, kids):
-    """Each block of kids with its leaf candidates and its survivors as a
-    dense (kids, leaves) mask, the leaf flags shared as in ``search_codes``."""
+    """Each block of kids with its leaf candidates, its survivor pairs and
+    the same survivors as a dense (kids, leaves) mask, the leaf flags shared
+    as in ``search_codes``."""
     blocks = group.blocks(kids)
     if len(blocks) > 1:
         group.share_leaf_flags(kids)
     for block in blocks:
         cand = group.leaf_candidates(kids[block])
-        kid_pos, leaf_pos = group.survivors(kids[block], cand)
+        pairs = group.survivors(kids[block], cand)
         ok = np.zeros_like(cand)
-        ok[kid_pos, leaf_pos] = True
-        yield kids[block], cand, ok
+        ok[pairs] = True
+        yield kids[block], cand, pairs, ok
 
 
 #: largest n per field for the random sibling-group check (p^(2n) <= 15625)
@@ -361,7 +362,7 @@ def sibling_groups(draw):
 @st.composite
 def ordered_sibling_groups(draw):
     """A parent and d_min as in ``sibling_groups``; its children are the zero
-    child alone (the root of an m = 1 search) or up to ten consecutive
+    child alone (the root of an m = 1 search) or up to six consecutive
     candidates, in ascending or descending order; a block size, where 2^12
     splits a block of several children into several leaf chunks."""
     p, n, d_min, chosen, pivots, _, _ = draw(sibling_groups())
@@ -372,33 +373,32 @@ def ordered_sibling_groups(draw):
         kids = np.zeros(1, dtype=np.int64)
     else:
         start = draw(st.integers(0, len(idx) - 1))
-        kids = idx[start : start + draw(st.integers(1, 10))]
+        kids = idx[start : start + draw(st.integers(1, 6))]
         kids = kids if order == "asc" else kids[::-1]
     return p, n, d_min, chosen, pivots, kids, block_entries
 
 
 def check_per_vector(table, chosen, pivots, kids):
-    """Filter kids' leaves block by block, the leaf flags shared as in
-    ``search_codes``, and compare each block with ``per_vector_filter``:
-    the same candidates and the same survivor pairs in the same order."""
+    """Filter kids' leaves with ``filtered_blocks`` and compare each block
+    with ``per_vector_filter``: the same candidates and the same survivor
+    pairs in the same order."""
     leaves = table.candidates(chosen, pivots)
     group = search._SiblingGroup(table, chosen, pivots, leaves)
     rows, weight = per_vector_s(table, chosen)
     line_weight = np.bincount(table.monic_keys(table.vectors[rows]), weight, len(table.vectors))
     assert group.mu(group.mu_keys).tolist() == line_weight[group.mu_keys].tolist()
     assert set(np.flatnonzero(line_weight)) <= set(group.mu_keys.tolist())
-    blocks = group.blocks(kids)
+    blocks = list(filtered_blocks(group, kids))
     if len(blocks) > 1:
-        group.share_leaf_flags(kids)
         assert group.flags.dtype == bool
         assert group.flags.shape == (len(group.mu_keys), group.ends(kids).max())
+    else:
+        assert group.flags is None
     survived = 0
-    for block in blocks:
-        cand = group.leaf_candidates(kids[block])
-        ref_cand, ref_ok = per_vector_filter(table, chosen, leaves, kids[block])
+    for block, cand, (kid_pos, leaf_pos), _ in blocks:
+        ref_cand, ref_ok = per_vector_filter(table, chosen, leaves, block)
         width = cand.shape[1]
         assert np.array_equal(cand, ref_cand[:, :width]) and not ref_cand[:, width:].any()
-        kid_pos, leaf_pos = group.survivors(kids[block], cand)
         ref_j, ref_c = np.nonzero(ref_ok)
         assert kid_pos.tolist() == ref_j.tolist() and leaf_pos.tolist() == ref_c.tolist()
         survived += len(kid_pos)
@@ -406,7 +406,7 @@ def check_per_vector(table, chosen, pivots, kids):
 
 
 @settings(
-    max_examples=60,
+    max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
@@ -448,8 +448,8 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
     leaves = table.candidates(chosen, pivots)
     sibling_group = search._SiblingGroup(table, chosen, pivots, leaves)
     blocks = list(filtered_blocks(sibling_group, kids))
-    assert [int(kid) for block, _, _ in blocks for kid in block] == kids.tolist()
-    for block, cand, ok in blocks:
+    assert [int(kid) for block, *_ in blocks for kid in block] == kids.tolist()
+    for block, cand, _, ok in blocks:
         assert not (ok & ~cand).any()
         for kid, kid_cand, kid_ok in zip(block, cand, ok):
             rows = np.vstack([chosen, table.vectors[kid]])
@@ -537,7 +537,7 @@ def check_sibling_group(p, n, d_min, chosen_rows, samples, monkeypatch):
     monkeypatch.setattr(group, "line_sums", counted_line_sums)
     results = {True: 0, False: 0}
     stride = None
-    for kids, cand, ok in filtered_blocks(group, leaves):
+    for kids, cand, _, ok in filtered_blocks(group, leaves):
         pairs = np.argwhere(cand)
         stride = stride or max(1, len(pairs) * len(leaves) // (samples * len(kids)))
         for j, col in pairs[::stride]:
