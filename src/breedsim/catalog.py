@@ -19,7 +19,7 @@ import numpy as np
 
 from . import symplectic as sp
 from .breeding import BreedingProtocolSpec, convert_pure
-from .codes import CodeConstructionError, StabilizerCode
+from .codes import StabilizerCode
 
 
 class CatalogError(ValueError):
@@ -38,7 +38,6 @@ class CatalogEntry:
     code: StabilizerCode
     d: int
     pure: bool
-    provenance: str = ""
 
     @property
     def generator_strings(self) -> List[str]:
@@ -83,7 +82,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
             )
         try:
             code = StabilizerCode(p, n, rows)
-        except CodeConstructionError as exc:
+        except ValueError as exc:  # CodeConstructionError, or a modulus that is not a prime
             raise CatalogError(f"{source}: entry {name!r}: {exc}") from exc
         if code.k != k:
             raise CatalogError(
@@ -98,7 +97,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
                 f"{source}: entry {name!r} claims pure={int(pure)} but recomputed "
                 f"pure={int(bool(code.is_pure))}"
             )
-        entries.append(CatalogEntry(name, code, d, pure, provenance=source))
+        entries.append(CatalogEntry(name, code, d, pure))
     return entries
 
 

@@ -397,9 +397,11 @@ def exact_fidelity(
 ) -> ExactFidelity:
     """Exact success probability by summing the channel over all error vectors.
 
-    Sums q^m error rows (q = p^2, m noisy pairs) for every erased subset of
-    nonzero probability (2^m of them when 0 < erasure < 1, else one), and
-    refuses before the first kernel call when that exceeds max_terms. A kernel
+    Sums q^m error rows (q = p^2, m noisy pairs), which
+    ``sp.support_vectors`` enumerates with every noisy pair free, for every
+    erased subset of nonzero probability (2^m of them when 0 < erasure < 1,
+    else one), and refuses before the first kernel call when that exceeds
+    max_terms; refuses a channel over another field. A kernel
     call stacks the rows of as many subsets as fit sp.BLOCK_ENTRIES // (2n)
     rows, each subset with its own erasure mask (a larger subset gets a call
     of its own); each subset's probabilities are still summed on their own,
@@ -407,6 +409,8 @@ def exact_fidelity(
     """
     code = spec.extended_code
     p = code.p
+    if channel.p != p:
+        raise ValueError("channel field size does not match the code")
     noisy = list(spec.noisy_positions)
     m = len(noisy)
     q = p * p
@@ -416,23 +420,19 @@ def exact_fidelity(
         raise FeasibilityError(
             f"exact sum needs {q}^{m} terms times {count} erased subsets, over cap {max_terms}"
         )
-    rate = channel.depolarizing
-    idx = np.arange(q**m, dtype=np.int64)
-    radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    digits = (idx[:, None] // radix[None, :]) % q
     n_total = code.n
-    errors = np.zeros((len(idx), 2 * n_total), dtype=np.int64)
     pos = np.asarray(noisy, dtype=np.int64)
-    errors[:, pos] = digits // p
-    errors[:, n_total + pos] = digits % p
-    depol_prob = np.where(digits == 0, 1.0 - rate, rate / (q - 1) if q > 1 else 0.0)
+    errors = np.vstack(list(sp.support_vectors(n_total, p, [noisy], free=m)))
+    rate = channel.depolarizing
+    hit = (errors[:, pos] != 0) | (errors[:, n_total + pos] != 0)
+    depol_prob = np.where(hit, rate / (q - 1), 1.0 - rate)
 
     subsets = []
     for e in range(m + 1):
         subset_prob = er**e * (1.0 - er) ** (m - e)
         if subset_prob != 0.0:
             subsets += [(list(local), subset_prob) for local in itertools.combinations(range(m), e)]
-    size = len(idx)
+    size = len(errors)
     per_call = min(len(subsets), max(1, sp.BLOCK_ENTRIES // (2 * n_total) // size))
     stacked = np.tile(errors, (per_call, 1)) if per_call > 1 else errors
     total_good = 0.0

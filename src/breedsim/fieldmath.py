@@ -95,19 +95,17 @@ def rank(m: np.ndarray, p: int) -> int:
 
 
 def kernel(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows, RREF-canonical) of the right null space {x : m x = 0}."""
+    """Basis (as rows, RREF-canonical) of the right null space {x : m x = 0}.
+
+    One vector per free (non-pivot) column f of the RREF r: 1 at f and
+    -r[i, f] at the i-th pivot column, then canonicalized by ``row_basis``.
+    """
     a = as_field_matrix(m, p)
-    _, ncols = a.shape
     r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for row_i, c in enumerate(pivots):
-            basis[idx, c] = (-r[row_i, f]) % p
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivots] = False
+    basis = np.eye(a.shape[1], dtype=np.int64)[free]
+    basis[:, pivots] = (-r[: len(pivots)][:, free].T) % p
     return row_basis(basis, p)
 
 

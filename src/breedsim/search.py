@@ -146,15 +146,6 @@ class _VectorTable:
             idx = idx[self.orthogonal(self.vectors[idx], chosen).all(axis=1)]
         return idx
 
-    def leaf_survivors(self, idx: np.ndarray, chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
-        """Per candidate c of the ascending idx: chosen + c has distance >= d_min.
-        The sibling-group filter on the one child that adds no row."""
-        group = _SiblingGroup(self, chosen, pivots, idx)
-        no_row = np.zeros(1, dtype=np.int64)
-        ok = np.zeros(len(idx), dtype=bool)
-        ok[group.survivors(no_row, group.leaf_candidates(no_row))[1]] = True
-        return ok
-
 
 class _SiblingGroup:
     """The children of one DFS node chosen and the leaves under each.

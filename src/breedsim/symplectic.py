@@ -19,15 +19,6 @@ from . import fieldmath as fm
 BLOCK_ENTRIES = 1 << 20
 
 
-def vector(a: Sequence[int], b: Sequence[int], p: int) -> np.ndarray:
-    """Build a symplectic vector (a|b) from its X- and Z-parts."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("a and b parts must be 1-D and of equal length")
-    return np.concatenate([a, b]) % p
-
-
 def from_string(text: str, p: int) -> np.ndarray:
     """Parse 'adigits|bdigits' into a symplectic vector."""
     left, sep, right = text.partition("|")
@@ -46,12 +37,9 @@ def to_string(v: np.ndarray) -> str:
 
 def symp_product(u: np.ndarray, v: np.ndarray, p: int) -> int:
     """Symplectic inner product <a_u, b_v> - <b_u, a_v> mod p."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != v.shape:
+    if np.shape(u) != np.shape(v):
         raise ValueError("symplectic product of vectors with different lengths")
-    n = len(u) // 2
-    return int((u[:n] @ v[n:] - u[n:] @ v[:n]) % p)
+    return int(pairwise_products(u, v, p)[0, 0])
 
 
 def pairwise_products(rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
@@ -63,10 +51,9 @@ def pairwise_products(rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
 
 
 def symp_weight(v: np.ndarray) -> int:
-    """Number of positions i with (a_i, b_i) != (0, 0)."""
-    v = np.atleast_2d(np.asarray(v))
-    n = v.shape[1] // 2
-    w = np.count_nonzero((v[:, :n] != 0) | (v[:, n:] != 0), axis=1)
+    """Number of positions i with (a_i, b_i) != (0, 0): an int for one
+    vector, else ``symp_weights`` of the rows."""
+    w = symp_weights(v)
     return int(w[0]) if w.shape == (1,) else w
 
 
@@ -206,56 +193,42 @@ def symp_extend(d: SympSubspace) -> Tuple[SympSubspace, int]:
     """Append coordinates to make D self-orthogonal.
 
     Runs symplectic Gram-Schmidt on the basis to split it into hyperbolic
-    pairs plus a radical; each pair gets one fresh position that cancels the
-    pair's product. Returns (C_ext, c) with C_ext self-orthogonal on n + c
-    positions, dim C_ext = dim D, and puncturing the appended positions
-    giving back D. c = rank(gram(D)) / 2, the minimum possible.
+    pairs plus a radical: each round takes the first nonzero entry (i, j) of
+    the rows' ``pairwise_products`` matrix as a pair, scales row j so that
+    the pair's product is 1 and clears both from the other rows. Each pair
+    gets one fresh position that cancels the pair's product. Returns
+    (C_ext, c) with C_ext self-orthogonal on n + c positions, dim C_ext =
+    dim D, and puncturing the appended positions giving back D.
+    c = rank(gram(D)) / 2, the minimum possible.
     """
     p, n = d.p, d.n
-    vecs = [row.copy() for row in d.basis]
-    pairs = []
-    while True:
-        hit = None
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if symp_product(vecs[i], vecs[j], p) != 0:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        i, j = hit
-        u = vecs[i]
-        v = (vecs[j] * fm.inv_mod(symp_product(u, vecs[j], p), p)) % p
-        rest = [vecs[t] for t in range(len(vecs)) if t not in (i, j)]
+    vecs, pairs = d.basis, []
+    g = gram_d = gram(d)
+    # the first hit in row order has i < j: g is alternating, so a hit (i, j)
+    # with j < i would put (j, i) in an earlier row
+    while len(hits := np.argwhere(g)):
+        i, j = hits[0]
+        scale = fm.inv_mod(g[i, j], p)
+        u, v = vecs[i], vecs[j] * scale % p
+        rest = np.delete(np.arange(len(vecs)), [i, j])
         # w -> w + <w,u> v - <w,v> u kills the products with the pair
-        vecs = [
-            (w + symp_product(w, u, p) * v - symp_product(w, v, p) * u) % p for w in rest
-        ]
-        pairs.append((u, v))
-    c = len(pairs)
-    gram_rank = fm.rank(gram(d), p)
+        vecs = (vecs[rest] + g[rest, i, None] * v - (g[rest, j, None] * scale % p) * u) % p
+        pairs += [u, v]
+        g = pairwise_products(vecs, vecs, p)
+    c = len(pairs) // 2
+    gram_rank = fm.rank(gram_d, p)
     if gram_rank != 2 * c:
         raise AssertionError(
             f"alternating Gram matrix has odd-looking rank {gram_rank} vs {2 * c} pair slots"
         )
     nn = n + c
-    rows = []
-    for t, (u, v) in enumerate(pairs):
-        ue = np.zeros(2 * nn, dtype=np.int64)
-        ve = np.zeros(2 * nn, dtype=np.int64)
-        ue[:n], ue[nn : nn + n] = u[:n], u[n:]
-        ve[:n], ve[nn : nn + n] = v[:n], v[n:]
-        # X on the fresh position for u, Z^{-1} for v: the new product -1
-        # cancels the pair's product +1
-        ue[n + t] = 1
-        ve[nn + n + t] = p - 1
-        rows.extend([ue, ve])
-    for w in vecs:
-        we = np.zeros(2 * nn, dtype=np.int64)
-        we[:n], we[nn : nn + n] = w[:n], w[n:]
-        rows.append(we)
+    lifted = np.vstack([*pairs, vecs])
+    rows = np.zeros((len(lifted), 2 * nn), dtype=np.int64)
+    rows[:, :n], rows[:, nn : nn + n] = lifted[:, :n], lifted[:, n:]
+    # X on the fresh position for u, Z^{-1} for v: the new product -1
+    # cancels the pair's product +1
+    rows[np.arange(0, 2 * c, 2), np.arange(n, nn)] = 1
+    rows[np.arange(1, 2 * c, 2), np.arange(nn + n, 2 * nn)] = p - 1
     ext = SympSubspace.from_rows(p, nn, rows)
     if ext.dim != d.dim or not is_self_orthogonal(ext) or puncture(ext, range(n, nn)) != d:
         raise AssertionError("symplectic extension is not a self-orthogonal lift of D")

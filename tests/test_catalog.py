@@ -7,6 +7,7 @@ from breedsim.catalog import (
     find_entry,
     load_catalog,
 )
+from breedsim.cli import main
 
 GOOD = """
 # a comment
@@ -59,6 +60,16 @@ def test_parse_error_names_line():
 def test_missing_generators():
     with pytest.raises(CatalogError, match="ships 1 generator"):
         load_catalog("code x p=2 n=6 k=4 d=2 pure=1\n111111|000000\n")
+
+
+def test_non_prime_modulus_names_the_entry(tmp_path, capsys):
+    text = "code x p=4 n=2 k=1 d=1 pure=1\n10|00\n"
+    with pytest.raises(CatalogError, match="^<catalog>: entry 'x': field modulus must be a prime"):
+        load_catalog(text)
+    path = tmp_path / "four.txt"
+    path.write_text(text)
+    assert main(["analyze", "--code", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: entry 'x': field modulus")
 
 
 def test_non_self_orthogonal_generators():

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import breedsim
 from breedsim.cli import main
 
 
@@ -261,3 +265,36 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert len(builds) == 1 + len(argvs)
     assert [code for code, _ in shared] == [0, 2, 0, 0]
     assert all(out for code, out in shared if code == 0)
+
+
+def test_no_run_imports_numpy_ma():
+    # numpy.ma is loaded lazily by helpers such as np.setdiff1d, and costs
+    # about 1 MB of resident memory in every process that touches one
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+import numpy as np
+from breedsim import breeding, catalog, engine
+from breedsim import symplectic as sp
+from breedsim.cli import main
+argvs = [
+    ["analyze", "--code", "five_qubit"],
+    ["convert", "--code", "five_qubit", "--puncture", "5"],
+    ["verify", "--code", "five_qubit", "--puncture", "5"],
+    ["simulate", "--code", "five_qubit", "--puncture", "5", "--rates", "0.1", "--trials", "200"],
+    ["search", "--p", "2", "--n", "4", "--k", "2", "--dmin", "2"],
+    ["compare"],
+]
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+rows = np.array([[1, 0, 1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1, 0, 1], [1, 1, 0, 1, 0, 0, 0, 1]])
+breeding.build_from_subspace(sp.SympSubspace.from_rows(2, 4, rows))
+code = catalog.find_entry(catalog.builtin_catalog(), "five_qubit").code
+engine.exact_fidelity(breeding.convert_pure(code, [4]), engine.Channel(2, 0.1, 0.1))
+code.decode_table()
+print(codes, "numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(breedsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"

@@ -392,6 +392,13 @@ class TestExactFidelity:
         sigma = np.sqrt(exact * (1 - exact) / report.trials)
         assert abs(report.fidelity_estimate - exact) < 4 * sigma
 
+    def test_channel_over_another_field_refused(self, breeding_spec):
+        # a qutrit channel on a qubit protocol; simulate refuses it the same way
+        with pytest.raises(ValueError, match="channel field size does not match the code"):
+            exact_fidelity(breeding_spec, Channel(3, 0.1))
+        with pytest.raises(ValueError, match="channel field size does not match the code"):
+            simulate(breeding_spec, Channel(3, 0.1), 10)
+
     def test_erased_subsets_count_against_cap(self):
         # q^m = 4^10 rows fit the cap, but times 2^10 erased subsets they do not
         spec = convert_pure(five_qubit_copies(2), set())

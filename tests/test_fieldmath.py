@@ -86,6 +86,42 @@ def test_kernel_example_f2():
     assert np.array_equal(k, expected)
 
 
+def kernel_by_columns(m, p):
+    """fm.kernel with one basis vector, and one entry of it, at a time."""
+    a = fm.as_field_matrix(m, p)
+    ncols = a.shape[1]
+    r, pivots = fm.rref(a, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return np.zeros((0, ncols), dtype=np.int64)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for idx, f in enumerate(free):
+        basis[idx, f] = 1
+        for row_i, c in enumerate(pivots):
+            basis[idx, c] = (-r[row_i, f]) % p
+    return fm.row_basis(basis, p)
+
+
+@st.composite
+def field_matrices(draw):
+    """A matrix over F_p, p in {2, 3, 5}, of up to 8 x 12 entries, some rows zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    m = np.reshape(np.array(entries, dtype=np.int64), (rows, cols))
+    m[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0
+    return m, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_kernel_matches_column_loop(case):
+    m, p = case
+    got, want = fm.kernel(m, p), kernel_by_columns(m, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_rank_nullity():
     rng = np.random.default_rng(3)
     for p in (2, 3, 5):

@@ -218,6 +218,16 @@ def test_float32_products_refused_when_inexact():
         search._partner_rows(np.zeros((1, 270), dtype=np.int64), 251)
 
 
+def leaf_survivors(table, idx, chosen, pivots):
+    """Per candidate c of the ascending idx: chosen + c has distance >= d_min.
+    The sibling-group filter on the one child that adds no row."""
+    group = search._SiblingGroup(table, chosen, pivots, idx)
+    no_row = np.zeros(1, dtype=np.int64)
+    ok = np.zeros(len(idx), dtype=bool)
+    ok[group.survivors(no_row, group.leaf_candidates(no_row))[1]] = True
+    return ok
+
+
 def check_leaf_filter(p, n, chosen_rows, d_min, limit=None):
     """Compare the leaf filter after the RREF basis of chosen_rows with each
     candidate code's exact distance; returns the candidates that pass."""
@@ -229,7 +239,7 @@ def check_leaf_filter(p, n, chosen_rows, d_min, limit=None):
     idx = table.candidates(chosen, pivots)
     if limit is not None:
         idx = idx[:: max(1, len(idx) // limit)]
-    ok = table.leaf_survivors(idx, chosen, pivots)
+    ok = leaf_survivors(table, idx, chosen, pivots)
     for i, passed in zip(idx, ok):
         code = StabilizerCode(p, n, list(chosen) + [table.vectors[i]])
         assert passed == (code.distance is not None and code.distance >= d_min), table.vectors[i]

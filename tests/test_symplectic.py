@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breedsim import fieldmath as fm
 from breedsim import symplectic as sp
@@ -201,3 +203,60 @@ class TestExtend:
                 assert c == fm.rank(sp.gram(d), p) // 2
                 assert sp.is_self_orthogonal(ext)
                 assert sp.puncture(ext, range(n, n + c)) == d
+
+
+def symp_extend_by_pairs(d):
+    """symp_extend as a scalar loop: each pair found by scanning (i < j) with
+    one symp_product per pair of rows, each extension row built on its own."""
+    p, n = d.p, d.n
+    vecs = [row.copy() for row in d.basis]
+    pairs = []
+    while True:
+        hit = next(
+            ((i, j) for i in range(len(vecs)) for j in range(i + 1, len(vecs))
+             if sp.symp_product(vecs[i], vecs[j], p) != 0),
+            None,
+        )
+        if hit is None:
+            break
+        i, j = hit
+        u = vecs[i]
+        v = (vecs[j] * fm.inv_mod(sp.symp_product(u, vecs[j], p), p)) % p
+        rest = [vecs[t] for t in range(len(vecs)) if t not in (i, j)]
+        vecs = [(w + sp.symp_product(w, u, p) * v - sp.symp_product(w, v, p) * u) % p for w in rest]
+        pairs.append((u, v))
+    nn = n + len(pairs)
+    rows = []
+    for t, (u, v) in enumerate(pairs):
+        ue = np.zeros(2 * nn, dtype=np.int64)
+        ve = np.zeros(2 * nn, dtype=np.int64)
+        ue[:n], ue[nn : nn + n] = u[:n], u[n:]
+        ve[:n], ve[nn : nn + n] = v[:n], v[n:]
+        ue[n + t] = 1
+        ve[nn + n + t] = p - 1
+        rows.extend([ue, ve])
+    for w in vecs:
+        we = np.zeros(2 * nn, dtype=np.int64)
+        we[:n], we[nn : nn + n] = w[:n], w[n:]
+        rows.append(we)
+    return sp.SympSubspace.from_rows(p, nn, rows), len(pairs)
+
+
+@st.composite
+def subspaces(draw):
+    """A random subspace of F_p^{2n}, p in {2, 3, 5}, from up to 2n rows."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(0, 2 * n))
+    gens = draw(st.lists(st.integers(0, p - 1), min_size=dim * 2 * n, max_size=dim * 2 * n))
+    return sp.SympSubspace.from_rows(p, n, np.reshape(gens, (dim, 2 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspaces())
+def test_extend_matches_scalar_loop(d):
+    ext, c = sp.symp_extend(d)
+    want, want_c = symp_extend_by_pairs(d)
+    assert c == want_c
+    assert ext.n == want.n and ext.basis.dtype == want.basis.dtype
+    assert np.array_equal(ext.basis, want.basis)
