@@ -397,15 +397,14 @@ def exact_fidelity(
 ) -> ExactFidelity:
     """Exact success probability by summing the channel over all error vectors.
 
-    Sums q^m error rows (q = p^2, m noisy pairs), which
-    ``sp.support_vectors`` enumerates with every noisy pair free, for every
-    erased subset of nonzero probability (2^m of them when 0 < erasure < 1,
-    else one), and refuses before the first kernel call when that exceeds
-    max_terms; refuses a channel over another field. A kernel
-    call stacks the rows of as many subsets as fit sp.BLOCK_ENTRIES // (2n)
-    rows, each subset with its own erasure mask (a larger subset gets a call
-    of its own); each subset's probabilities are still summed on their own,
-    in subset order.
+    Sums the q^m error rows on the noisy pairs (q = p^2, m noisy pairs;
+    ``sp.support_vectors`` with all m pairs free) for every erased subset of
+    nonzero probability (2^m of them when 0 < erasure < 1, else one), and
+    refuses before the first kernel call when that exceeds max_terms, or
+    when the channel's field is not the code's. A kernel call stacks the
+    rows of as many subsets as fit sp.BLOCK_ENTRIES // (2n) rows, each subset
+    with its own erasure mask (a larger subset gets a call of its own); each
+    subset's probabilities are still summed on their own, in subset order.
     """
     code = spec.extended_code
     p = code.p
