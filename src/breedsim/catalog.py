@@ -44,8 +44,9 @@ class CatalogEntry:
         return [sp.to_string(row) for row in self.code.stab.basis]
 
 
-def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
-    entries: List[CatalogEntry] = []
+def _blocks(text: str, source: str):
+    """The entries of a catalog text, parsed but not yet validated, in order:
+    one (name, p, n, k, d, pure, generator rows) per header."""
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -75,30 +76,38 @@ def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
                     f"{source}:{i}: entry {name!r}: generator has {len(rows[-1]) // 2} "
                     f"positions, expected {n}"
                 )
-        if len(rows) != n - k:
-            raise CatalogError(
-                f"{source}: entry {name!r} claims k={k} but ships {len(rows)} generator "
-                f"lines (expected {n - k})"
-            )
-        try:
-            code = StabilizerCode(p, n, rows)
-        except ValueError as exc:  # CodeConstructionError, or a modulus that is not a prime
-            raise CatalogError(f"{source}: entry {name!r}: {exc}") from exc
-        if code.k != k:
-            raise CatalogError(
-                f"{source}: entry {name!r} claims k={k} but recomputed k={code.k}"
-            )
-        if code.distance != d:
-            raise CatalogError(
-                f"{source}: entry {name!r} claims d={d} but recomputed d={code.distance}"
-            )
-        if bool(code.is_pure) != pure:
-            raise CatalogError(
-                f"{source}: entry {name!r} claims pure={int(pure)} but recomputed "
-                f"pure={int(bool(code.is_pure))}"
-            )
-        entries.append(CatalogEntry(name, code, d, pure))
-    return entries
+        yield name, p, n, k, d, pure, rows
+
+
+def _entry(source: str, name: str, p: int, n: int, k: int, d: int, pure: bool, rows) -> CatalogEntry:
+    """Build one parsed entry's code and check its claimed k, d and purity."""
+    if len(rows) != n - k:
+        raise CatalogError(
+            f"{source}: entry {name!r} claims k={k} but ships {len(rows)} generator "
+            f"lines (expected {n - k})"
+        )
+    try:
+        code = StabilizerCode(p, n, rows)
+    except ValueError as exc:  # CodeConstructionError, or a modulus that is not a prime
+        raise CatalogError(f"{source}: entry {name!r}: {exc}") from exc
+    if code.k != k:
+        raise CatalogError(
+            f"{source}: entry {name!r} claims k={k} but recomputed k={code.k}"
+        )
+    if code.distance != d:
+        raise CatalogError(
+            f"{source}: entry {name!r} claims d={d} but recomputed d={code.distance}"
+        )
+    if bool(code.is_pure) != pure:
+        raise CatalogError(
+            f"{source}: entry {name!r} claims pure={int(pure)} but recomputed "
+            f"pure={int(bool(code.is_pure))}"
+        )
+    return CatalogEntry(name, code, d, pure)
+
+
+def load_catalog(text: str, source: str = "<catalog>") -> List[CatalogEntry]:
+    return [_entry(source, *block) for block in _blocks(text, source)]
 
 
 def load_catalog_file(path: str) -> List[CatalogEntry]:
@@ -110,9 +119,26 @@ def load_catalog_file(path: str) -> List[CatalogEntry]:
     return load_catalog(text, source=path)
 
 
+def _builtin_text() -> str:
+    return resources.files("breedsim").joinpath("data/codes.txt").read_text("utf-8")
+
+
 def builtin_catalog() -> List[CatalogEntry]:
-    text = resources.files("breedsim").joinpath("data/codes.txt").read_text("utf-8")
-    return load_catalog(text, source="builtin")
+    return load_catalog(_builtin_text(), source="builtin")
+
+
+def builtin_names() -> List[str]:
+    """The builtin entry names, in catalog order, read from the headers alone."""
+    lines = (line.split("#", 1)[0].strip() for line in _builtin_text().splitlines())
+    return [m["name"] for m in map(_HEADER.match, lines) if m]
+
+
+def builtin_entry(name: str) -> CatalogEntry:
+    """The first builtin entry of that name; only it is built and validated."""
+    for block in _blocks(_builtin_text(), "builtin"):
+        if block[0] == name:
+            return _entry("builtin", *block)
+    raise CatalogError(f"no catalog entry named {name!r} (known: {', '.join(builtin_names())})")
 
 
 def find_entry(entries: Sequence[CatalogEntry], name: str) -> CatalogEntry:

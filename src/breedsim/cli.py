@@ -28,15 +28,14 @@ EXIT_INFEASIBLE = 3
 
 
 def _load_code(ref: str) -> cat.CatalogEntry:
-    """Resolve a --code argument: a builtin entry name or a catalog file path."""
-    builtin = cat.builtin_catalog()
-    try:
-        return cat.find_entry(builtin, ref)
-    except cat.CatalogError:
-        pass
+    """Resolve a --code argument: a builtin entry name or a catalog file path.
+    Only the entry returned is built and validated; a builtin name wins over
+    a file of that name."""
+    builtin = cat.builtin_names()
+    if ref in builtin:
+        return cat.builtin_entry(ref)
     if not os.path.exists(ref):
-        names = ", ".join(e.name for e in builtin)
-        raise cat.CatalogError(f"{ref!r} is neither a builtin code ({names}) nor a file")
+        raise cat.CatalogError(f"{ref!r} is neither a builtin code ({', '.join(builtin)}) nor a file")
     entries = cat.load_catalog_file(ref)
     if len(entries) != 1:
         names = ", ".join(e.name for e in entries)
@@ -80,9 +79,11 @@ def _postselect(text: str) -> engine.PostSelect:
 
 
 def _puncture_set(positions: Tuple[int, ...], n: int) -> frozenset:
-    for i in positions:
+    for j, i in enumerate(positions):
         if i < 1 or i > n:
             raise ValueError(f"puncture position {i} out of range 1..{n}")
+        if i in positions[:j]:
+            raise ValueError(f"puncture position {i} given twice")
     return frozenset(i - 1 for i in positions)
 
 

@@ -10,7 +10,10 @@ or a batch of rows, each row with its own erased set (or one set for all);
 guarantee verification, Monte Carlo simulation and the exact oracle all run
 their rows through it, one call per block of rows. Verification joins the
 patterns of every (e, t) into those blocks, and the oracle stacks the rows of
-many erased subsets into one call.
+many erased subsets into one call. Monte Carlo sends only the trials that
+carry an error or an erasure: a trial with neither decodes to the zero leader
+and is a success that every post-selection mode keeps, so it is counted
+without a row.
 """
 
 from __future__ import annotations
@@ -304,15 +307,21 @@ def _sample_chunk(
     seed: int,
     start: int,
     stop: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample error rows (and erasure masks) for trials [start, stop) of one chunk.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the live trials of trials [start, stop) of one chunk: those with
+    an error or an erasure on some noisy pair.
+
+    Returns (rows, errors, erased): the ascending offsets of the live trials
+    within the range, their error rows and their erasure flags, one per noisy
+    pair. Every other trial carries no error and no erasure.
 
     ``start`` is a multiple of CHUNK and the range lies inside that chunk. The
     chunk draws all of its randomness from np.random.default_rng((seed,
     start // CHUNK)) as one row-major array of uniforms, m per trial (2m with
     erasure), and trial start + i reads only row i. So the partition of
-    trials into workers cannot affect the sample, and a shorter run's rows
-    are a prefix of a longer run's.
+    trials into workers cannot affect the sample, and a shorter run's live
+    trials are the longer run's live trials at offsets below its count, with
+    equal rows.
 
     A uniform u below the depolarizing rate gives the nontrivial value
     1 + floor(u / rate * (q - 1)), q = p^2, since u / rate is uniform on [0, 1)
@@ -327,33 +336,46 @@ def _sample_chunk(
     n_total = spec.extended_code.n
     noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
     m = len(noisy)
-    count = stop - start
     rate, er = channel.depolarizing, channel.erasure
     rng = np.random.default_rng((seed, start // CHUNK))
-    uniforms = rng.random((count, 2 * m if er > 0.0 else m))
+    uniforms = rng.random((stop - start, 2 * m if er > 0.0 else m))
+    live = (uniforms[:, :m] < rate).any(axis=1)
+    if er > 0.0:
+        live |= (uniforms[:, m:] < er).any(axis=1)
+    rows = np.flatnonzero(live)
+    # the dense uniforms are freed before the live rows are built
+    uniforms = uniforms[rows]
     u = uniforms[:, :m]
     hit = u < rate
-    values = np.zeros((count, m), dtype=np.int64)
+    values = np.zeros((len(rows), m), dtype=np.int64)
     values[hit] = 1 + np.minimum((u[hit] / rate * (q - 1)).astype(np.int64), q - 2)
-    erased = np.zeros((count, m), dtype=bool)
+    erased = np.zeros((len(rows), m), dtype=bool)
     if er > 0.0:
         v = uniforms[:, m:]
         erased = v < er
         values[erased] = np.minimum((v[erased] / er * q).astype(np.int64), q - 1)
-    errors = np.zeros((count, 2 * n_total), dtype=np.int64)
+    errors = np.zeros((len(rows), 2 * n_total), dtype=np.int64)
     errors[:, noisy] = values // p
     errors[:, n_total + noisy] = values % p
-    return errors, erased
+    return rows, errors, erased
 
 
 def _simulate_chunk(args) -> Tuple[int, int]:
+    """(kept successes, discards) over trials [start, stop) of one chunk.
+
+    A trial with no error and no erasure has syndrome 0, which decodes to the
+    zero leader, so its residual 0 lies in C and every post-selection mode
+    keeps it: it is counted as a kept success without a kernel call."""
     spec, channel, seed, start, stop, postselect = args
-    errors, erased = _sample_chunk(spec, channel, seed, start, stop)
-    mask = np.zeros((len(errors), spec.extended_code.n), dtype=bool)
+    rows, errors, erased = _sample_chunk(spec, channel, seed, start, stop)
+    clean = stop - start - len(rows)
+    if not len(rows):
+        return clean, 0
+    mask = np.zeros((len(rows), spec.extended_code.n), dtype=bool)
     mask[:, list(spec.noisy_positions)] = erased
     outcome = run_protocol(spec, ErrorPattern(errors, mask), postselect)
     successes = int(np.sum(outcome.success & ~outcome.discarded))
-    return successes, int(np.sum(outcome.discarded))
+    return clean + successes, int(np.sum(outcome.discarded))
 
 
 def simulate(
@@ -367,6 +389,8 @@ def simulate(
     """Monte Carlo fidelity/yield estimate; deterministic in (channel, trials, seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if channel.p != spec.extended_code.p:
         raise ValueError("channel field size does not match the code")
     chunks = [

@@ -3,6 +3,8 @@ import pytest
 from breedsim.catalog import (
     CatalogError,
     builtin_catalog,
+    builtin_entry,
+    builtin_names,
     compare_report,
     find_entry,
     load_catalog,
@@ -33,6 +35,18 @@ def test_load_and_validate():
 def test_builtin_catalog_ships_required_codes():
     names = {e.name for e in builtin_catalog()}
     assert {"six_four_two", "five_qubit", "four_two_two"} <= names
+
+
+def test_builtin_entry_alone_matches_the_catalog():
+    entries = builtin_catalog()
+    assert builtin_names() == [e.name for e in entries]
+    for entry in entries:
+        alone = builtin_entry(entry.name)
+        assert (alone.name, alone.d, alone.pure, alone.generator_strings) == (
+            entry.name, entry.d, entry.pure, entry.generator_strings
+        )
+    with pytest.raises(CatalogError, match="no catalog entry named 'nonesuch' \\(known: six_four_two, "):
+        builtin_entry("nonesuch")
 
 
 def test_find_entry_unknown_name():

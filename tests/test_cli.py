@@ -195,6 +195,8 @@ SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
         (SIM + ["--puncture", "7"], 1),
         (VERIFY + ["--puncture", "0"], 1),
         (VERIFY + ["--puncture", "1,2"], 1),
+        (VERIFY + ["--puncture", "1,1"], 1),
+        (SIM + ["--seed", "-1"], 1),
         # the same split for analyze, search and compare
         (ANALYZE + ["--format", "xml"], 2),
         (["analyze"], 2),
@@ -227,6 +229,82 @@ def test_bad_input_exit_codes(argv, expected, capsys):
     assert code == expected
     if expected == 1:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (VERIFY + ["--puncture", "1,1"], "error: puncture position 1 given twice\n"),
+        (SIM + ["--puncture", "6,7,6"], "error: puncture position 7 out of range 1..6\n"),
+        (SIM + ["--seed", "-1"], "error: seed must be at least 0, got -1\n"),
+    ],
+)
+def test_refusal_messages(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+
+
+class TestLoadCode:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (p, n) of every StabilizerCode the catalog builds."""
+        from breedsim import catalog
+
+        calls = []
+
+        def counted(p, n, rows):
+            calls.append((p, n))
+            return code_class(p, n, rows)
+
+        code_class = catalog.StabilizerCode
+        monkeypatch.setattr(catalog, "StabilizerCode", counted)
+        return calls
+
+    def test_file_path_builds_no_builtin_code(self, tmp_path, built):
+        from breedsim.cli import _load_code
+
+        path = tmp_path / "qutrit.txt"
+        path.write_text(
+            "code five_qutrit p=3 n=5 k=1 d=3 pure=1\n"
+            "10020|01200\n01002|00120\n20100|00012\n02010|20001\n"
+        )
+        assert _load_code(str(path)).name == "five_qutrit"
+        assert built == [(3, 5)]
+
+    def test_builtin_name_builds_one_code(self, built):
+        from breedsim.cli import _load_code
+
+        entry = _load_code("four_two_two")
+        assert (entry.name, entry.code.k, entry.d, entry.pure) == ("four_two_two", 2, 2, True)
+        assert built == [(2, 4)]
+
+    def test_builtin_name_wins_over_a_file(self, tmp_path, monkeypatch, built):
+        from breedsim.cli import _load_code
+
+        (tmp_path / "five_qubit").write_text("code other p=2 n=4 k=2 d=2 pure=1\n1111|0000\n0000|1111\n")
+        monkeypatch.chdir(tmp_path)
+        assert _load_code("five_qubit").name == "five_qubit"
+        assert built == [(2, 5)]
+
+    def test_messages_unchanged(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--code", "nonesuch"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'nonesuch' is neither a builtin code (six_four_two, five_qubit, four_two_two) nor a file\n"
+        )
+        Path("two.txt").write_text(
+            "code a p=2 n=4 k=2 d=2 pure=1\n1111|0000\n0000|1111\n\n"
+            "code b p=2 n=6 k=4 d=2 pure=1\n111111|000000\n000000|111111\n"
+        )
+        assert main(["analyze", "--code", "two.txt"]) == 1
+        assert capsys.readouterr().err == (
+            "error: two.txt holds 2 entries (a, b); point --code at a single-entry file\n"
+        )
+        Path("bad.txt").write_text("code x p=2 n=2 k=0 d=1 pure=1\n10|00\n1|0\n")
+        assert main(["analyze", "--code", "bad.txt"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad.txt:3: entry 'x': generator has 1 positions, expected 2\n"
+        )
 
 
 def test_one_parser_serves_every_call(monkeypatch):

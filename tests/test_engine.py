@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import breedsim
 from breedsim import engine
@@ -78,6 +80,15 @@ def hashing_spec():
         [v("10010|01100"), v("01001|00110"), v("10100|00011"), v("01010|10001")],
     )
     return convert_pure(code, set())
+
+
+def dense(rows, errors, erased, count, spec):
+    """A sample of ``_sample_chunk`` as per-trial arrays over its count
+    trials: the live rows at their offsets, no error and no erasure elsewhere."""
+    full = np.zeros((count, 2 * spec.extended_code.n), dtype=np.int64)
+    flags = np.zeros((count, len(spec.noisy_positions)), dtype=bool)
+    full[rows], flags[rows] = errors, erased
+    return full, flags
 
 
 class TestRunProtocol:
@@ -296,7 +307,7 @@ class TestSimulate:
         post = PostSelect.parse(policy)
         args = (spec, Channel(p, 0.2, erasure=0.3), 6, CHUNK, CHUNK + 3000, post)
         # reference: the trials grouped by erased set, one kernel call per group
-        errors, erased = _sample_chunk(*args[:5])
+        errors, erased = dense(*_sample_chunk(*args[:5]), 3000, spec)
         noisy = np.asarray(spec.noisy_positions)
         successes = discards = 0
         groups = {frozenset(noisy[row].tolist()) for row in erased}
@@ -314,15 +325,15 @@ class TestSampleChunk:
     @pytest.mark.parametrize("start", [0, CHUNK])
     def test_shorter_run_is_prefix(self, breeding_spec, erasure, start):
         ch = Channel(2, 0.3, erasure=erasure)
-        short_err, short_er = _sample_chunk(breeding_spec, ch, 4, start, start + 700)
-        long_err, long_er = _sample_chunk(breeding_spec, ch, 4, start, start + CHUNK)
+        short_err, short_er = dense(*_sample_chunk(breeding_spec, ch, 4, start, start + 700), 700, breeding_spec)
+        long_err, long_er = dense(*_sample_chunk(breeding_spec, ch, 4, start, start + CHUNK), CHUNK, breeding_spec)
         assert np.array_equal(short_err, long_err[:700])
         assert np.array_equal(short_er, long_er[:700])
 
     def test_chunks_are_keyed_by_index(self, breeding_spec):
         ch = Channel(2, 0.3)
-        first, _ = _sample_chunk(breeding_spec, ch, 4, 0, 500)
-        second, _ = _sample_chunk(breeding_spec, ch, 4, CHUNK, CHUNK + 500)
+        first, _ = dense(*_sample_chunk(breeding_spec, ch, 4, 0, 500), 500, breeding_spec)
+        second, _ = dense(*_sample_chunk(breeding_spec, ch, 4, CHUNK, CHUNK + 500), 500, breeding_spec)
         assert not np.array_equal(first, second)
         with pytest.raises(ValueError, match="chunk"):
             _sample_chunk(breeding_spec, ch, 4, 5, 10)
@@ -339,7 +350,7 @@ class TestSampleChunk:
         values, flags = [], []
         ch = Channel(p, rate, erasure)
         for start in range(0, 3 * CHUNK, CHUNK):
-            errors, erased = _sample_chunk(spec, ch, 21, start, start + CHUNK)
+            errors, erased = dense(*_sample_chunk(spec, ch, 21, start, start + CHUNK), CHUNK, spec)
             values.append((errors[:, noisy] * p + errors[:, n + noisy]).ravel())
             flags.append(erased.ravel())
         values, flags = np.concatenate(values), np.concatenate(flags)
@@ -353,6 +364,132 @@ class TestSampleChunk:
                 got = np.count_nonzero((values == value) & (flags == gone)) / total
                 sigma = np.sqrt(want * (1 - want) / total)
                 assert abs(got - want) <= 5 * sigma, (gone, value, got, want)
+
+
+def dense_sample(spec, channel, seed, start, stop):
+    """Every trial's error row and erasure flags, sampled from the chunk's
+    uniforms as a dense array over all of its trials."""
+    p = channel.p
+    q = p * p
+    n_total = spec.extended_code.n
+    noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
+    m = len(noisy)
+    count = stop - start
+    rate, er = channel.depolarizing, channel.erasure
+    rng = np.random.default_rng((seed, start // CHUNK))
+    uniforms = rng.random((count, 2 * m if er > 0.0 else m))
+    u = uniforms[:, :m]
+    hit = u < rate
+    values = np.zeros((count, m), dtype=np.int64)
+    values[hit] = 1 + np.minimum((u[hit] / rate * (q - 1)).astype(np.int64), q - 2)
+    erased = np.zeros((count, m), dtype=bool)
+    if er > 0.0:
+        v = uniforms[:, m:]
+        erased = v < er
+        values[erased] = np.minimum((v[erased] / er * q).astype(np.int64), q - 1)
+    errors = np.zeros((count, 2 * n_total), dtype=np.int64)
+    errors[:, noisy] = values // p
+    errors[:, n_total + noisy] = values % p
+    return errors, erased
+
+
+def every_trial_chunk(spec, channel, seed, start, stop, postselect):
+    """(kept successes, discards) with every trial of the range sent through run_protocol."""
+    errors, erased = dense_sample(spec, channel, seed, start, stop)
+    mask = np.zeros((len(errors), spec.extended_code.n), dtype=bool)
+    mask[:, list(spec.noisy_positions)] = erased
+    outcome = run_protocol(spec, ErrorPattern(errors, mask), postselect)
+    return int(np.sum(outcome.success & ~outcome.discarded)), int(np.sum(outcome.discarded))
+
+
+#: per field: a pure [[5,1,3]]_p code (the five-qubit code's shifts of X Z Z^-1 X^-1)
+FIVE_CODES = {
+    p: StabilizerCode(p, 5, [v(g.replace("9", str(p - 1)), p) for g in ("10090|01900", "01009|00190", "90100|00019", "09010|90001")])
+    for p in (2, 3, 5)
+}
+
+
+@st.composite
+def live_trial_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    # over F_5 at least two pairs are preshared: five erased pairs would need 25^5 leaders
+    spec = convert_pure(FIVE_CODES[p], draw(st.sampled_from([{0, 2}] if p == 5 else [set(), {4}, {0, 2}])))
+    rate = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    channel = Channel(p, rate, draw(st.sampled_from([0.0, 0.3])))
+    start = CHUNK * draw(st.integers(0, 2))
+    stop = start + draw(st.sampled_from([0, 1, CHUNK]) | st.integers(0, 1500))
+    return spec, channel, draw(st.integers(0, 2**32)), start, stop
+
+
+class TestLiveTrials:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(live_trial_cases())
+    def test_live_sample_expands_to_the_dense_sample(self, case):
+        spec, channel, seed, start, stop = case
+        rows, errors, erased = _sample_chunk(spec, channel, seed, start, stop)
+        assert errors.dtype == np.int64 and erased.dtype == bool
+        want_errors, want_erased = dense_sample(spec, channel, seed, start, stop)
+        got_errors, got_erased = dense(rows, errors, erased, stop - start, spec)
+        assert np.array_equal(got_errors, want_errors)
+        assert np.array_equal(got_erased, want_erased)
+        # the live trials, ascending, are exactly those with an error or an
+        # erasure (an erased pair may carry the identity)
+        live = want_errors.any(axis=1) | want_erased.any(axis=1)
+        assert rows.tolist() == np.flatnonzero(live).tolist()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(live_trial_cases(), st.sampled_from(["none", "nonzero", "weight:0", "weight:1"]))
+    def test_chunk_matches_every_trial_through_the_kernel(self, case, policy):
+        spec, channel, seed, start, stop = case
+        post = PostSelect.parse(policy)
+        want = every_trial_chunk(spec, channel, seed, start, stop, post)
+        assert _simulate_chunk((spec, channel, seed, start, stop, post)) == want
+
+    @pytest.mark.parametrize("erasure", [0.0, 0.2])
+    def test_shorter_run_has_the_longer_runs_live_prefix(self, breeding_spec, erasure):
+        ch = Channel(2, 0.05, erasure=erasure)
+        short = _sample_chunk(breeding_spec, ch, 4, CHUNK, CHUNK + 700)
+        long = _sample_chunk(breeding_spec, ch, 4, CHUNK, 2 * CHUNK)
+        below = long[0] < 700
+        assert 0 < len(short[0]) < below.sum() + 1 and len(long[0]) > below.sum()
+        for got, want in zip(short, long):
+            assert np.array_equal(got, want[below])
+
+    def test_clean_chunk_makes_no_kernel_call(self, breeding_spec, kernel_calls):
+        assert _simulate_chunk((breeding_spec, Channel(2, 0.0), 3, 0, 4000, PostSelect("nonzero"))) == (4000, 0)
+        assert simulate(breeding_spec, Channel(2, 0.0), CHUNK + 5, seed=1).successes == CHUNK + 5
+        assert kernel_calls == []
+        # at a sparse rate only the live trials reach the kernel, in one call per chunk
+        rows, _, _ = _sample_chunk(breeding_spec, Channel(2, 0.01), 3, 0, 4000)
+        _simulate_chunk((breeding_spec, Channel(2, 0.01), 3, 0, 4000, PostSelect("nonzero")))
+        assert kernel_calls == [len(rows)] and 0 < len(rows) < 400
+
+    @pytest.mark.parametrize(
+        "which, rate, erasure, policy, discards, successes",
+        [
+            # recorded with every trial sent through the kernel
+            ("breeding", 0.01, 0.0, "nonzero", 537, 10695),
+            ("breeding", 0.1, 0.0, "none", 0, 6581),
+            ("breeding", 0.01, 0.02, "nonzero", 1315, 9903),
+            ("breeding", 0.1, 0.1, "nonzero", 6057, 4530),
+            ("qutrit", 0.01, 0.0, "weight:1", 1, 11230),
+            ("qutrit", 0.1, 0.0, "weight:1", 388, 10614),
+            ("qutrit", 0.01, 0.02, "nonzero", 1213, 10021),
+            ("qutrit", 0.1, 0.1, "weight:1", 1404, 9488),
+        ],
+    )
+    def test_pinned_reports_across_a_chunk_boundary(
+        self, breeding_spec, qutrit_spec, which, rate, erasure, policy, discards, successes
+    ):
+        spec = breeding_spec if which == "breeding" else qutrit_spec
+        channel = Channel(spec.extended_code.p, rate, erasure)
+        report = simulate(spec, channel, CHUNK + 1234, seed=17, postselect=PostSelect.parse(policy))
+        assert (report.trials, report.discards, report.successes) == (CHUNK + 1234, discards, successes)
+
+    def test_negative_seed_refused_up_front(self, breeding_spec, kernel_calls):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            simulate(breeding_spec, Channel(2, 0.1), 10, seed=-1)
+        assert kernel_calls == []
 
 
 class TestExactFidelity:

@@ -631,3 +631,30 @@ def test_leaf_flags_shared_only_across_blocks(monkeypatch):
     assert len(shared) == 1 and len(seen) > 1 and all(seen)
     lines, leaves, flags = shared[0]
     assert flags.dtype == bool and flags.shape[0] == lines and flags.shape[1] <= leaves
+
+
+@pytest.mark.parametrize("pair_step", [1, 3])
+@pytest.mark.parametrize("p, n, d_min, chosen_rows", [(5, 2, 3, []), (3, 4, 2, ["1100|0200"])])
+def test_survivors_take_a_chunks_open_pairs_in_several_steps(p, n, d_min, chosen_rows, pair_step, monkeypatch):
+    # every child of the group in one call: with BLOCK_ENTRIES = 2n * pair_step
+    # a column chunk is one leaf, under which more than pair_step pairs stay
+    # open; under the F_5 root, pairs past a leaf's first step pass
+    group, chosen = group_under(p, n, d_min, chosen_rows)
+    kids = group.leaves
+    cand = group.leaf_candidates(kids)
+    monkeypatch.setattr(search, "BLOCK_ENTRIES", 2 * n * pair_step)
+    leaves_summed, line_sums = [], group.line_sums
+
+    def counted_line_sums(kids_, cols):
+        assert len(kids_) <= pair_step and len(set(cols.tolist())) == 1
+        leaves_summed.append(int(cols[0]))
+        return line_sums(kids_, cols)
+
+    monkeypatch.setattr(group, "line_sums", counted_line_sums)
+    kid_pos, leaf_pos = group.survivors(kids, cand)
+    ref_cand, ref_ok = per_vector_filter(group.table, chosen, group.leaves, kids)
+    assert np.array_equal(cand, ref_cand[:, : cand.shape[1]]) and not ref_cand[:, cand.shape[1] :].any()
+    ref_j, ref_c = np.nonzero(ref_ok)
+    assert kid_pos.tolist() == ref_j.tolist() and leaf_pos.tolist() == ref_c.tolist()
+    assert len(ref_j) > 0
+    assert len(leaves_summed) > len(set(leaves_summed))  # some chunk took several steps
