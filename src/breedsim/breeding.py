@@ -12,7 +12,7 @@ from typing import FrozenSet, Iterable, Optional
 
 from . import fieldmath as fm
 from . import symplectic as sp
-from .codes import ENUM_CAP, StabilizerCode, min_weight_outside
+from .codes import StabilizerCode, min_weight_outside
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ def ebit_count(d: sp.SympSubspace) -> int:
     return r // 2
 
 
-def eaqecc_distance(d: sp.SympSubspace, max_size: int = ENUM_CAP) -> Optional[int]:
+def eaqecc_distance(d: sp.SympSubspace) -> Optional[int]:
     """Exhaustive min symplectic weight over D^perp_s \\ D; None if empty."""
-    return min_weight_outside(d, max_size)[0]
+    return min_weight_outside(d)[0]
 
 
 def convert_pure(code: StabilizerCode, punctured: Iterable[int]) -> BreedingProtocolSpec:

@@ -13,12 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from . import symplectic as sp
-from .breeding import BreedingProtocolSpec, convert_pure
+from .breeding import convert_pure
 from .codes import StabilizerCode
 
 
@@ -128,17 +126,18 @@ def builtin_catalog() -> List[CatalogEntry]:
 
 
 def builtin_names() -> List[str]:
-    """The builtin entry names, in catalog order, read from the headers alone."""
-    lines = (line.split("#", 1)[0].strip() for line in _builtin_text().splitlines())
-    return [m["name"] for m in map(_HEADER.match, lines) if m]
+    """The builtin entry names, in catalog order; no entry is validated."""
+    return [block[0] for block in _blocks(_builtin_text(), "builtin")]
 
 
 def builtin_entry(name: str) -> CatalogEntry:
     """The first builtin entry of that name; only it is built and validated."""
-    for block in _blocks(_builtin_text(), "builtin"):
+    blocks = list(_blocks(_builtin_text(), "builtin"))
+    for block in blocks:
         if block[0] == name:
             return _entry("builtin", *block)
-    raise CatalogError(f"no catalog entry named {name!r} (known: {', '.join(builtin_names())})")
+    known = ", ".join(block[0] for block in blocks)
+    raise CatalogError(f"no catalog entry named {name!r} (known: {known})")
 
 
 def find_entry(entries: Sequence[CatalogEntry], name: str) -> CatalogEntry:
@@ -161,50 +160,35 @@ class ReportRow:
     dominant: bool = False
 
 
-def compare_report(
-    entries: Sequence[CatalogEntry],
-    noisy_pairs: Optional[int] = None,
-    correction: Optional[Tuple[int, int]] = None,
-) -> List[ReportRow]:
+def compare_report(entries: Sequence[CatalogEntry]) -> List[ReportRow]:
     """Hashing and breeding rows for every catalog code and admissible puncturing.
 
-    Breeding rows puncture the last c positions for c = 1 .. d-1. A breeding
-    row is flagged dominant when no hashing row with the same noisy-pair count
-    and at-least-as-strong guarantee achieves at least its net yield.
+    Breeding rows puncture the last c positions for c = 1 .. d-1, and only a
+    pure code gets them: conversion needs purity, a hashing row only d. A
+    breeding row is flagged dominant when no hashing row with the same
+    noisy-pair count and at-least-as-strong guarantee achieves at least its
+    net yield.
     """
+    hashing = [(entry.code.n, entry.d, entry.code.k) for entry in entries]
     rows: List[ReportRow] = []
     for entry in entries:
         code = entry.code
-        rows.append(
-            ReportRow("hashing", entry.name, code.n, 0, code.k, code.k, entry.d)
-        )
-        for c in range(1, entry.d):
-            spec = convert_pure(code, range(code.n - c, code.n))
+        rows.append(ReportRow("hashing", entry.name, code.n, 0, code.k, code.k, entry.d))
+        for c in range(1, entry.d) if entry.pure else ():
+            params = convert_pure(code, range(code.n - c, code.n)).params
+            dominated = any(
+                n == params.n and d >= entry.d and net >= params.net_yield for n, d, net in hashing
+            )
             rows.append(
                 ReportRow(
                     "breeding",
                     entry.name,
-                    spec.params.n,
+                    params.n,
                     c,
-                    spec.params.gross_k,
-                    spec.params.net_yield,
+                    params.gross_k,
+                    params.net_yield,
                     entry.d,
+                    not dominated,
                 )
             )
-    if noisy_pairs is not None:
-        rows = [r for r in rows if r.noisy_pairs == noisy_pairs]
-    if correction is not None:
-        t, e = correction
-        rows = [r for r in rows if 2 * t + e < r.d]
-    hashing = [r for r in rows if r.kind == "hashing"]
-    out: List[ReportRow] = []
-    for r in rows:
-        if r.kind != "breeding":
-            out.append(r)
-            continue
-        dominated = any(
-            h.noisy_pairs == r.noisy_pairs and h.d >= r.d and h.net >= r.net
-            for h in hashing
-        )
-        out.append(ReportRow(r.kind, r.name, r.noisy_pairs, r.preshared, r.gross, r.net, r.d, not dominated))
-    return out
+    return rows

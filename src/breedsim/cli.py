@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import catalog as cat
 from . import engine
-from .breeding import convert_pure
+from .breeding import BreedingProtocolSpec, convert_pure
 from .codes import CodeConstructionError, FeasibilityError
 from .search import SearchQuery, search_codes
 
@@ -87,6 +87,12 @@ def _puncture_set(positions: Tuple[int, ...], n: int) -> frozenset:
     return frozenset(i - 1 for i in positions)
 
 
+def _protocol(args) -> Tuple[cat.CatalogEntry, BreedingProtocolSpec]:
+    """The --code entry and its breeding protocol with --puncture as the ebits."""
+    entry = _load_code(args.code)
+    return entry, convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
+
+
 def _emit(records: List[Dict], fmt: str, out) -> None:
     if fmt == "jsonl":
         for rec in records:
@@ -119,8 +125,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_convert(args, out) -> int:
-    entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
+    entry, spec = _protocol(args)
     params = spec.params
     rec = {
         "name": entry.name,
@@ -136,8 +141,7 @@ def cmd_convert(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
+    entry, spec = _protocol(args)
     cert = engine.verify_guarantee(spec, max_patterns=args.budget)
     rec = {
         "name": entry.name,
@@ -158,8 +162,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
-    entry = _load_code(args.code)
-    spec = convert_pure(entry.code, _puncture_set(args.puncture, entry.code.n))
+    entry, spec = _protocol(args)
     records = []
     for rate in args.rates:
         channel = engine.Channel(entry.code.p, rate)

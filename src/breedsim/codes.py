@@ -366,15 +366,13 @@ def _lex_first(sets: np.ndarray, keys: np.ndarray, rows: np.ndarray, p: int) -> 
     return sets[first], keys[first], rows[first]
 
 
-def min_weight_outside(
-    sub: sp.SympSubspace, cap: int = ENUM_CAP
-) -> Tuple[Optional[int], Optional[int]]:
+def min_weight_outside(sub: sp.SympSubspace) -> Tuple[Optional[int], Optional[int]]:
     """(min weight over sub^perp_s \\ sub, min nonzero weight over sub^perp_s).
 
     Both are None when sub^perp_s lies inside sub. Otherwise weight classes
     w = 1, 2, ... are scanned up to the first one holding a vector of
     sub^perp_s (zero syndrome against sub) outside sub; refused before a
-    class that would take the vectors generated past cap.
+    class that would take the vectors generated past ENUM_CAP.
     """
     p, n = sub.p, sub.n
     # sub meets its dual in dim(sub) - rank(gram) dimensions, and the dual
@@ -387,10 +385,10 @@ def min_weight_outside(
     min_nonzero, generated = None, 0
     for w in range(1, n + 1):
         generated += comb(n, w) * (p * p - 1) ** w
-        if generated > cap:
+        if generated > ENUM_CAP:
             raise FeasibilityError(
                 f"minimum-weight enumeration needs {generated} vectors through weight {w}, "
-                f"over cap {cap}"
+                f"over cap {ENUM_CAP}"
             )
         for block in sp.support_vectors(n, p, itertools.combinations(range(n), w)):
             dual = block[~np.any(fm.mat_mod(block, check, p), axis=1)]

@@ -9,8 +9,8 @@ erasure knowledge), and ask whether the residual lies in the stabilizer.
 or a batch of rows, each row with its own erased set (or one set for all);
 guarantee verification, Monte Carlo simulation and the exact oracle all run
 their rows through it, one call per block of rows. Verification joins the
-patterns of every (e, t) into those blocks, and the oracle stacks the rows of
-many erased subsets into one call. Monte Carlo sends only the trials that
+patterns of every (e, t) into those blocks, and the oracle joins the rows of
+its erased subsets into them the same way. Monte Carlo sends only the trials that
 carry an error or an erasure: a trial with neither decodes to the zero leader
 and is a success that every post-selection mode keeps, so it is counted
 without a row.
@@ -417,18 +417,18 @@ def exact_fidelity(
     spec: BreedingProtocolSpec,
     channel: Channel,
     postselect: PostSelect = KEEP_ALL,
-    max_terms: int = 1 << 22,
 ) -> ExactFidelity:
     """Exact success probability by summing the channel over all error vectors.
 
     Sums the q^m error rows on the noisy pairs (q = p^2, m noisy pairs;
     ``sp.support_vectors`` with all m pairs free) for every erased subset of
     nonzero probability (2^m of them when 0 < erasure < 1, else one), and
-    refuses before the first kernel call when that exceeds max_terms, or
-    when the channel's field is not the code's. A kernel call stacks the
-    rows of as many subsets as fit sp.BLOCK_ENTRIES // (2n) rows, each subset
-    with its own erasure mask (a larger subset gets a call of its own); each
-    subset's probabilities are still summed on their own, in subset order.
+    refuses before the first kernel call when that exceeds ENUM_CAP, or when
+    the channel's field is not the code's. The subsets' rows, each with its
+    subset's erasure mask, reach the kernel in blocks of sp.BLOCK_ENTRIES //
+    (2n) rows, as ``verify_guarantee``'s patterns do; only each row's success
+    and acceptance flags are kept, and each subset's probabilities are summed
+    on their own, in subset order.
     """
     code = spec.extended_code
     p = code.p
@@ -439,9 +439,9 @@ def exact_fidelity(
     q = p * p
     er = channel.erasure
     count = 2**m if 0.0 < er < 1.0 else 1
-    if q**m * count > max_terms:
+    if q**m * count > ENUM_CAP:
         raise FeasibilityError(
-            f"exact sum needs {q}^{m} terms times {count} erased subsets, over cap {max_terms}"
+            f"exact sum needs {q}^{m} terms times {count} erased subsets, over cap {ENUM_CAP}"
         )
     n_total = code.n
     pos = np.asarray(noisy, dtype=np.int64)
@@ -456,26 +456,25 @@ def exact_fidelity(
         if subset_prob != 0.0:
             subsets += [(list(local), subset_prob) for local in itertools.combinations(range(m), e)]
     size = len(errors)
-    per_call = min(len(subsets), max(1, sp.BLOCK_ENTRIES // (2 * n_total) // size))
-    stacked = np.tile(errors, (per_call, 1)) if per_call > 1 else errors
+    masks = np.zeros((len(subsets), n_total), dtype=bool)
+    for j, (local, _) in enumerate(subsets):
+        masks[j, pos[local]] = True
+    blocks = ((errors, np.broadcast_to(mask, (size, n_total))) for mask in masks)
+    accept, good = [], []
+    for rows, row_masks in _regroup(blocks, max(1, sp.BLOCK_ENTRIES // (2 * n_total))):
+        outcome = run_protocol(spec, ErrorPattern(rows, row_masks), postselect)
+        accept.append(~outcome.discarded)
+        good.append(outcome.success & accept[-1])
+    accept, good = np.concatenate(accept), np.concatenate(good)
     total_good = 0.0
     total_accept = 0.0
-    for start in range(0, len(subsets), per_call):
-        group = subsets[start : start + per_call]
-        masks = np.zeros((len(group), n_total), dtype=bool)
-        for j, (local, _) in enumerate(group):
-            masks[j, pos[local]] = True
-        pattern = ErrorPattern(stacked[: len(group) * size], np.repeat(masks, size, axis=0))
-        outcome = run_protocol(spec, pattern, postselect)
-        accept = ~outcome.discarded
-        good = outcome.success & accept
-        for j, (local, subset_prob) in enumerate(group):
-            live = np.ones(m, dtype=bool)
-            live[local] = False
-            prob = depol_prob[:, live].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
-            block = slice(j * size, (j + 1) * size)
-            total_accept += float(prob[accept[block]].sum())
-            total_good += float(prob[good[block]].sum())
+    for j, (local, subset_prob) in enumerate(subsets):
+        live = np.ones(m, dtype=bool)
+        live[local] = False
+        prob = depol_prob[:, live].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
+        block = slice(j * size, (j + 1) * size)
+        total_accept += float(prob[accept[block]].sum())
+        total_good += float(prob[good[block]].sum())
     if postselect.mode == "none":
         return ExactFidelity(total_good)
     return ExactFidelity(total_good / total_accept if total_accept else 0.0, total_accept)

@@ -285,7 +285,7 @@ def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
     return False
 
 
-def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
+def search_codes(q: SearchQuery) -> SearchResult:
     """Search for a self-orthogonal dim-(n-k) subspace with distance >= d_min.
 
     Exhaustive unless the node budget runs out (verdict "inconclusive").
@@ -293,8 +293,6 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     match, so k = 0 queries have no witnesses. Only the leaf candidates that
     pass the ``_SiblingGroup`` filter are built as codes.
     """
-    if order not in ("asc", "desc"):
-        raise ValueError("order must be 'asc' or 'desc'")
     p, n, m = q.p, q.n, q.n - q.k
     if _power_exceeds(p, 2 * n * m, FEASIBILITY_CAP):
         raise FeasibilityError(
@@ -306,9 +304,6 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
     table = _VectorTable(p, n, q.d_min)
     vectors, first_nz = table.vectors, table.first_nz
     budget = _Budget(q.budget)
-
-    def ordered(idx: np.ndarray) -> np.ndarray:
-        return idx if order == "asc" else idx[::-1]
 
     def validate(rows: List[np.ndarray]) -> Optional[StabilizerCode]:
         code = StabilizerCode(p, n, rows)
@@ -334,7 +329,7 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
             kid_pos, leaf_pos = group.survivors(block[: stop // 2], cand[: stop // 2])
             for j in sorted(set(kid_pos.tolist())):
                 head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
-                for i in ordered(leaves[leaf_pos[kid_pos == j]]):
+                for i in leaves[leaf_pos[kid_pos == j]]:
                     code = validate(head + [vectors[i]])
                     if code is not None:
                         budget.nodes = int(total[2 * j + 1])
@@ -350,8 +345,8 @@ def search_codes(q: SearchQuery, order: str = "asc") -> SearchResult:
         if len(pivots) == m - 1:  # m = 1: the root's leaves, under no child row
             return last_levels(chosen, pivots, np.zeros(1, dtype=np.int64), idx)
         if len(pivots) == m - 2:
-            return last_levels(chosen, pivots, ordered(idx), idx)
-        for i in ordered(idx):
+            return last_levels(chosen, pivots, idx, idx)
+        for i in idx:
             if not budget.spend(1):
                 return None
             witness = dfs(np.vstack([chosen, vectors[i]]), pivots + [int(first_nz[i])])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breedsim import codes
 from breedsim import symplectic as sp
 from breedsim.breeding import (
     build_from_subspace,
@@ -59,11 +60,13 @@ class TestEaqeccDistance:
         d = sp.SympSubspace.from_rows(2, 1, np.eye(2, dtype=np.int64))
         assert eaqecc_distance(d) is None
 
-    def test_weight_classes_over_max_size_refused(self, punctured_pair):
+    def test_weight_classes_over_max_size_refused(self, punctured_pair, monkeypatch):
         # d = 2 needs the weight-1 and weight-2 classes: 5*3 + 10*9 = 105 vectors
-        assert eaqecc_distance(punctured_pair, max_size=105) == 2
+        monkeypatch.setattr(codes, "ENUM_CAP", 105)
+        assert eaqecc_distance(punctured_pair) == 2
+        monkeypatch.setattr(codes, "ENUM_CAP", 104)
         with pytest.raises(FeasibilityError, match="through weight 2"):
-            eaqecc_distance(punctured_pair, max_size=104)
+            eaqecc_distance(punctured_pair)
 
 
 class TestConvertPure:

@@ -128,9 +128,3 @@ class TestCompareReport:
                 for h in hashing
             )
             assert r.dominant == (not dominated)
-
-    def test_filters(self):
-        rows = compare_report(builtin_catalog(), noisy_pairs=5)
-        assert {r.noisy_pairs for r in rows} == {5}
-        rows = compare_report(builtin_catalog(), correction=(0, 1))
-        assert all(r.d >= 2 for r in rows)

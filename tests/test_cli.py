@@ -118,6 +118,14 @@ class TestCompare:
         ]
         assert star and star[0]["net"] == "3" and star[0]["dominant"] == "yes"
 
+    def test_impure_entry_gets_its_hashing_row_only(self, tmp_path):
+        # breeding conversion needs a pure code; a hashing row needs only d
+        path = tmp_path / "impure.txt"
+        path.write_text("code impure p=2 n=5 k=2 d=2 pure=0\n11110|00000\n00000|11110\n00000|00001\n")
+        code, out = run_cli("compare", "--catalog", str(path))
+        assert code == 0
+        assert out == "kind=hashing name=impure noisy_pairs=5 preshared=0 gross=2 net=2 d=2 dominant=no\n"
+
 
 class TestFormats:
     def test_jsonl_round_trip(self):

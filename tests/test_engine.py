@@ -670,21 +670,23 @@ class TestKernelCalls:
         assert len(kernel_calls) == -(-got.patterns // block_rows)
 
     @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:1"])
-    @pytest.mark.parametrize("subsets_per_call", [3, 0])
+    @pytest.mark.parametrize("block", ["three_subsets", "under_one_subset", "seven_rows"])
     @pytest.mark.parametrize("which", ["breeding", "qutrit"])
     def test_exact_fidelity_small_blocks(
-        self, breeding_spec, qutrit_spec, which, subsets_per_call, policy, kernel_calls, monkeypatch
+        self, breeding_spec, qutrit_spec, which, block, policy, kernel_calls, monkeypatch
     ):
         spec = {"breeding": breeding_spec, "qutrit": qutrit_spec}[which]
         p, n, m = spec.extended_code.p, spec.extended_code.n, len(spec.noisy_positions)
         channel = Channel(p, 0.15, erasure=0.2)
         post = PostSelect.parse(policy)
         size = p ** (2 * m)
-        # three subsets per call, or one subset larger than a block
-        block_rows = 3 * size if subsets_per_call else size - 1
+        # 7 rows: subsets straddle calls at uneven offsets
+        block_rows = {"three_subsets": 3 * size, "under_one_subset": size - 1, "seven_rows": 7}[block]
         monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
         got = exact_fidelity(spec, channel, postselect=post)
-        assert len(kernel_calls) == -(-(2**m) // max(1, subsets_per_call))
+        # every call but the last is full, and the calls hold every subset's rows
+        assert all(rows == block_rows for rows in kernel_calls[:-1])
+        assert sum(kernel_calls) == 2**m * size
         fidelity, acceptance = exact_reference(spec, channel, post)
         assert got.fidelity == fidelity
         assert got.acceptance == acceptance

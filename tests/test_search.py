@@ -48,14 +48,6 @@ def test_k_zero_never_matches():
     assert search_codes(SearchQuery(2, 1, 0, 1)).verdict == "not_exists"
 
 
-def test_replay_with_reversed_order_agrees():
-    for params in [(2, 5, 3, 2), (2, 4, 2, 3)]:
-        a = search_codes(SearchQuery(*params))
-        b = search_codes(SearchQuery(*params), order="desc")
-        assert a.verdict == b.verdict == "not_exists"
-        assert a.nodes == b.nodes
-
-
 def test_catalog_codes_are_found():
     from breedsim.catalog import builtin_catalog
 
@@ -103,8 +95,6 @@ def test_query_validation():
         SearchQuery(2, 3, 3, 1)  # n - k must be >= 1
     with pytest.raises(ValueError):
         SearchQuery(2, 3, 1, 0)
-    with pytest.raises(ValueError):
-        search_codes(SearchQuery(2, 4, 2, 2), order="sideways")
 
 
 def test_trivial_distance_one_exists():
@@ -114,7 +104,7 @@ def test_trivial_distance_one_exists():
     validate_witness(result, q)
 
 
-def reference_search(q: SearchQuery, order: str = "asc") -> SearchResult:
+def reference_search(q: SearchQuery) -> SearchResult:
     """The same DFS and node count, but every leaf candidate is checked by
     building its code and reading ``distance`` and ``is_pure``."""
     p, n, m = q.p, q.n, q.n - q.k
@@ -131,8 +121,7 @@ def reference_search(q: SearchQuery, order: str = "asc") -> SearchResult:
         if len(chosen):
             mask &= (chosen[:, np.minimum(first_nz, 2 * n - 1)] == 0).all(axis=0)
             mask &= (sp.pairwise_products(chosen, vectors, p) == 0).all(axis=0)
-        idx = np.flatnonzero(mask)
-        return idx if order == "asc" else idx[::-1]
+        return np.flatnonzero(mask)
 
     def dfs(chosen, last):
         nonlocal nodes
@@ -171,13 +160,12 @@ REFERENCE_GRID = [
 ]
 
 
-@pytest.mark.parametrize("order", ["asc", "desc"])
 @pytest.mark.parametrize("pure", [False, True])
 @pytest.mark.parametrize("p, n, k, d_max", REFERENCE_GRID)
-def test_matches_reference_search(p, n, k, d_max, pure, order):
+def test_matches_reference_search(p, n, k, d_max, pure):
     for d_min in range(1, d_max + 1):
         q = SearchQuery(p, n, k, d_min, purity_required=pure)
-        assert search_codes(q, order) == reference_search(q, order), d_min
+        assert search_codes(q) == reference_search(q), d_min
 
 
 def test_matches_reference_search_under_budget():
@@ -186,23 +174,21 @@ def test_matches_reference_search_under_budget():
         assert search_codes(q) == reference_search(q)
 
 
-@pytest.mark.parametrize("order", ["asc", "desc"])
 @pytest.mark.parametrize("params", [(3, 3, 1, 2), (2, 4, 2, 2)])
-def test_budget_runs_out_inside_sibling_groups(params, order):
+def test_budget_runs_out_inside_sibling_groups(params):
     # the witness's node count less one runs out on the leaves of its own child
-    found = search_codes(SearchQuery(*params), order)
+    found = search_codes(SearchQuery(*params))
     assert found.verdict == "exists"
     for budget in [*range(1, 400, 37), found.nodes - 1, found.nodes]:
         q = SearchQuery(*params, budget=budget)
-        assert search_codes(q, order) == reference_search(q, order), budget
+        assert search_codes(q) == reference_search(q), budget
 
 
 @pytest.mark.parametrize(
     "params, nodes", [((2, 5, 3, 2), 87_978), ((3, 4, 2, 3), 301_760), ((2, 6, 4, 3), 1_400_490)]
 )
 def test_certificate_node_counts(params, nodes):
-    for order in ("asc", "desc"):
-        assert search_codes(SearchQuery(*params), order) == SearchResult("not_exists", nodes)
+    assert search_codes(SearchQuery(*params)) == SearchResult("not_exists", nodes)
 
 
 def test_leaf_filter_in_blocks_of_one_candidate(monkeypatch):
