@@ -466,12 +466,9 @@ def exact_fidelity(
         accept.append(~outcome.discarded)
         good.append(outcome.success & accept[-1])
     accept, good = np.concatenate(accept), np.concatenate(good)
-    total_good = 0.0
-    total_accept = 0.0
+    total_good = total_accept = 0.0
     for j, (local, subset_prob) in enumerate(subsets):
-        live = np.ones(m, dtype=bool)
-        live[local] = False
-        prob = depol_prob[:, live].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
+        prob = depol_prob[:, ~masks[j, pos]].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
         block = slice(j * size, (j + 1) * size)
         total_accept += float(prob[accept[block]].sum())
         total_good += float(prob[good[block]].sum())
