@@ -10,10 +10,10 @@ or a batch of rows, each row with its own erased set (or one set for all);
 guarantee verification, Monte Carlo simulation and the exact oracle all run
 their rows through it, one call per block of rows. Verification joins the
 patterns of every (e, t) into those blocks, and the oracle joins the rows of
-its erased subsets into them the same way. Monte Carlo sends only the trials that
-carry an error or an erasure: a trial with neither decodes to the zero leader
-and is a success that every post-selection mode keeps, so it is counted
-without a row.
+its erased subsets into them the same way. Monte Carlo sends only the trials
+that carry an error or an erasure: a trial with neither decodes to the zero
+leader and is a success that every post-selection mode keeps, so it is
+counted without a row.
 """
 
 from __future__ import annotations
