@@ -49,6 +49,12 @@ def test_builtin_entry_alone_matches_the_catalog():
         builtin_entry("nonesuch")
 
 
+
+def test_unknown_builtin_lists_every_builtin_name():
+    with pytest.raises(CatalogError) as refused:
+        builtin_entry("nonesuch")
+    assert str(refused.value) == f"no catalog entry named 'nonesuch' (known: {', '.join(builtin_names())})"
+
 def test_find_entry_unknown_name():
     with pytest.raises(CatalogError, match="no catalog entry"):
         find_entry(builtin_catalog(), "nonesuch")
@@ -111,6 +117,19 @@ class TestCompareReport:
         row = breeding[0]
         assert (row.noisy_pairs, row.gross, row.net) == (5, 4, 3)
         assert row.dominant
+
+    def test_impure_entry_gets_its_hashing_row_only(self):
+        # conversion needs purity, a hashing row only d; the pure entry still breeds
+        text = (
+            "code impure p=2 n=5 k=2 d=2 pure=0\n11110|00000\n00000|11110\n00000|00001\n"
+            "code six_four_two p=2 n=6 k=4 d=2 pure=1\n111111|000000\n000000|111111\n"
+        )
+        rows = compare_report(load_catalog(text))
+        assert [(r.kind, r.name, r.noisy_pairs, r.preshared, r.net, r.dominant) for r in rows] == [
+            ("hashing", "impure", 5, 0, 2, False),
+            ("hashing", "six_four_two", 6, 0, 4, False),
+            ("breeding", "six_four_two", 5, 1, 3, True),
+        ]
 
     def test_hashing_rows_never_flagged(self):
         for r in compare_report(builtin_catalog()):

@@ -252,6 +252,35 @@ def test_refusal_messages(argv, message, capsys):
     assert capsys.readouterr().err == message
 
 
+
+IMPURE = "code impure p=2 n=5 k=2 d=2 pure=0\n11110|00000\n00000|11110\n00000|00001\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["convert"], ["verify"], ["simulate", "--rates", "0.1"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--code", "six_four_two", "--puncture", "7"],
+            "error: puncture position 7 out of range 1..6\n",
+        ),
+        (
+            ["--code", "nosuch"],
+            "error: 'nosuch' is neither a builtin code (six_four_two, five_qubit, four_two_two) nor a file\n",
+        ),
+        (["--code", "IMPURE"], "error: breeding conversion requires a pure stabilizer code\n"),
+    ],
+    ids=["puncture_out_of_range", "unknown_code", "impure_code"],
+)
+def test_protocol_commands_refuse_alike(command, args, message, tmp_path, capsys):
+    path = tmp_path / "impure.txt"
+    path.write_text(IMPURE)
+    argv = command[:1] + [str(path) if a == "IMPURE" else a for a in args] + command[1:]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", message)
+
 class TestLoadCode:
     @pytest.fixture
     def built(self, monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from breedsim import codes
 from breedsim import fieldmath as fm
 from breedsim import symplectic as sp
-from breedsim.codes import CodeConstructionError, FeasibilityError, StabilizerCode
+from breedsim.codes import CodeConstructionError, FeasibilityError, StabilizerCode, min_weight_outside
 
 
 def v(text, p=2):
@@ -55,6 +56,15 @@ def test_five_qubit_distance(five_qubit):
     assert five_qubit.distance == 3
     assert five_qubit.is_pure is True
 
+
+
+def test_min_weight_outside_reads_the_cap_at_call_time(rep642, monkeypatch):
+    # d = 2 needs the weight-1 and weight-2 classes of six qubits: 6*3 + 15*9 = 153 vectors
+    monkeypatch.setattr(codes, "ENUM_CAP", 153)
+    assert min_weight_outside(rep642.stab) == (2, 2)
+    monkeypatch.setattr(codes, "ENUM_CAP", 152)
+    with pytest.raises(FeasibilityError, match="153 vectors through weight 2, over cap 152"):
+        min_weight_outside(rep642.stab)
 
 class TestSyndrome:
     def test_zero_error(self, rep642):

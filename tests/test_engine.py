@@ -692,6 +692,43 @@ class TestKernelCalls:
         assert got.acceptance == acceptance
 
 
+    @pytest.mark.parametrize("erasure", [0.0, 1.0])
+    @pytest.mark.parametrize("block", ["under_one_subset", "seven_rows"])
+    @pytest.mark.parametrize("which", ["breeding", "qutrit"])
+    def test_exact_fidelity_one_subset_in_small_blocks(
+        self, breeding_spec, qutrit_spec, which, block, erasure, kernel_calls, monkeypatch
+    ):
+        # with erasure 0 or 1 a single erased subset carries every row
+        spec = {"breeding": breeding_spec, "qutrit": qutrit_spec}[which]
+        p, n, m = spec.extended_code.p, spec.extended_code.n, len(spec.noisy_positions)
+        channel = Channel(p, 0.15, erasure=erasure)
+        post = PostSelect.parse("nonzero")
+        size = p ** (2 * m)
+        block_rows = {"under_one_subset": size - 1, "seven_rows": 7}[block]
+        monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
+        got = exact_fidelity(spec, channel, postselect=post)
+        assert all(rows == block_rows for rows in kernel_calls[:-1])
+        assert sum(kernel_calls) == size
+        fidelity, acceptance = exact_reference(spec, channel, post)
+        assert got.fidelity == fidelity
+        assert got.acceptance == acceptance
+
+    @pytest.mark.parametrize("erasure", [0.0, 0.2])
+    def test_exact_fidelity_reads_the_cap_at_call_time(
+        self, breeding_spec, erasure, kernel_calls, monkeypatch
+    ):
+        # exactly the terms needed pass; one fewer is refused before any kernel call
+        m = len(breeding_spec.noisy_positions)
+        terms = 4**m * (2**m if erasure else 1)
+        channel = Channel(2, 0.15, erasure=erasure)
+        monkeypatch.setattr(engine, "ENUM_CAP", terms - 1)
+        with pytest.raises(FeasibilityError, match=f"over cap {terms - 1}"):
+            exact_fidelity(breeding_spec, channel)
+        assert kernel_calls == []
+        monkeypatch.setattr(engine, "ENUM_CAP", terms)
+        got = exact_fidelity(breeding_spec, channel)
+        assert got.fidelity == exact_reference(breeding_spec, channel, PostSelect.parse("none"))[0]
+
 def test_postselect_parsing():
     assert PostSelect.parse("none").mode == "none"
     assert PostSelect.parse("nonzero").mode == "nonzero"
