@@ -165,7 +165,7 @@ def cmd_simulate(args, out) -> int:
     entry, spec = _protocol(args)
     records = []
     for rate in args.rates:
-        channel = engine.Channel(entry.code.p, rate)
+        channel = engine.Channel(entry.code.p, rate, args.erasure or 0.0)
         report = engine.simulate(
             spec,
             channel,
@@ -178,6 +178,7 @@ def cmd_simulate(args, out) -> int:
             {
                 "name": entry.name,
                 "rate": f"{rate:.6f}",
+                **({} if args.erasure is None else {"erasure": f"{args.erasure:.6f}"}),
                 "trials": report.trials,
                 "discards": report.discards,
                 "fidelity": f"{report.fidelity_estimate:.6f}",
@@ -269,6 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--puncture", type=_positions, default="")
     p.add_argument("--rates", type=_rates, required=True, help="comma-separated depolarizing rates")
+    p.add_argument(
+        "--erasure",
+        type=float,
+        default=None,
+        help="erasure rate of every noisy pair at each depolarizing rate; erased positions are decoded as known",
+    )
     p.add_argument("--trials", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

@@ -7,11 +7,15 @@ Distance, purity and decoding scan symplectic-weight classes w = 0, 1, 2, ...
 (``symplectic.support_vectors``) and stop at the first class that settles the
 answer, so their cost follows the few low weights that matter, not the size
 of a span. The decoder is exact: minimum symplectic weight outside the erased
-positions, ties broken by the lexicographically smallest (a|b) tuple. Its
-leaders, for every erased set, sit in one cache keyed by (erased set,
-syndrome), and each decode call builds what its rows lack in one pass. Each
-scan counts the class vectors it would generate and raises FeasibilityError
-before generating past ENUM_CAP.
+positions, ties broken by the lexicographically smallest (a|b) tuple. It
+builds each weight class once per code, over all n positions, sorted by
+(syndrome key, lex rank). The leader of erased set E and syndrome s is y + z:
+y one of the p^(2e) contents on E, z the lex-smallest row of the lowest class
+with the key of s - syn(y) that misses E. A decode call joins every
+(erased set, syndrome) pair its rows lack against the classes at once, and
+the leaders sit in one cache sorted by pair. Each scan counts the class
+vectors it would generate, and the decoder each erased set's contents, and
+raises FeasibilityError before generating past ENUM_CAP.
 """
 
 from __future__ import annotations
@@ -36,14 +40,13 @@ class FeasibilityError(RuntimeError):
     """Raised when an exhaustive computation exceeds its configured cap."""
 
 
-#: most weight-class vectors one distance scan, or one erased set's decoder, generates
+#: most weight-class vectors one distance scan, or the decoder of one code,
+#: generates; also the most contents one erased set may take
 ENUM_CAP = 1 << 22
 
-#: most entries (rows x 2n) one decoder build step generates for the erased
-#: sets that share a weight class (a larger class takes a step of its own);
-#: below sp.BLOCK_ENTRIES because steps of 2^18 or 2^20 entries raise the
-#: erasure benchmark's peak RSS from about 41.5 to 45.5 MB, and 2^14 does
-#: not lower it
+#: most entries (rows x 2n) one decoder join chunk takes: its pairs' contents
+#: times the pairs, and the class rows it scans at one time (one pair with
+#: more contents takes a chunk of its own)
 BUILD_ENTRIES = 1 << 16
 
 
@@ -83,16 +86,12 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        # the decoder cache, sorted by (erased-set id, syndrome key): the two
-        # keys as separate int64 columns, never packed into one, and the
-        # leaders; per erased set, its id and (next live weight, class vectors
-        # generated so far)
-        self._cache_sets = np.empty(0, dtype=np.int64)
-        self._cache_keys = np.empty(0, dtype=np.int64)
+        # the decoder: the live-weight classes built so far and the vectors
+        # they hold; the leader cache, sorted by (erased set, syndrome) pair key
+        self._classes: list = []
+        self._generated = 0
+        self._cache_keys = self._pair_keys(np.zeros((0, n), dtype=bool), np.zeros((0, stab.dim), dtype=np.int64))
         self._leaders = np.empty((0, 2 * n), dtype=np.uint8)
-        self._erased_ids: dict = {}
-        self._erased_sets: list = []
-        self._progress: list = []
 
     @cached_property
     def dual(self) -> sp.SympSubspace:
@@ -163,7 +162,7 @@ class StabilizerCode:
         positions that every row shares. Weight is counted only outside a
         row's erased positions, which may carry arbitrary content. Ties go to
         the lexicographically smallest (a|b) tuple. Leaders of every erased
-        set sit in one cache keyed by (erased set, syndrome); a call with
+        set sit in one cache sorted by (erased set, syndrome); a call with
         pairs not decoded before extends it through one ``_decode_by_coset``
         call. Refuses a code whose p^dim(C) syndrome keys would overflow int64.
         """
@@ -175,118 +174,190 @@ class StabilizerCode:
         mask = erasure_mask(erased, n, syndromes.shape[:-1]).reshape(len(rows), n)
         if p**m >= 1 << 63:
             raise FeasibilityError(f"{p}^{m} syndromes overflow the int64 syndrome keys")
-        sets, keys, inverse = self._pairs(mask, rows @ self._syndrome_radix)
-        at, cached = _search(self._cache_sets, self._cache_keys, sets, keys)
+        keys = self._pair_keys(mask, rows)
+        at, cached = _find(self._cache_keys, keys)
         if not cached.all():
-            self._decode_by_coset(sets[~cached], keys[~cached])
-            at = _search(self._cache_sets, self._cache_keys, sets, keys)[0]
-        decoded = self._leaders[at[inverse]].astype(np.int64)
+            self._decode_by_coset(keys[~cached], mask[~cached], rows[~cached])
+            at = _find(self._cache_keys, keys)[0]
+        decoded = self._leaders[at].astype(np.int64)
         return decoded[0] if syndromes.ndim == 1 else decoded
 
-    def _pairs(self, mask: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """The distinct (erased-set id, syndrome key) pairs of the rows, sorted,
-        as two arrays, and the index of each row's pair in them."""
-        words = _radix_words(np.packbits(mask, axis=1), 256)
-        order = np.lexsort(words)
-        new_set = np.zeros(len(order), dtype=bool)
-        new_set[:1] = True
-        for word in words:
-            word = word[order]
-            new_set[1:] |= word[1:] != word[:-1]
-        ids = np.array([self._erased_id(mask[r]) for r in order[new_set]], dtype=np.int64)
-        sets = np.empty(len(order), dtype=np.int64)
-        sets[order] = ids[np.cumsum(new_set) - 1]
-        # by key, then stably by set: two argsorts, faster than one lexsort
-        order = np.argsort(keys)
-        order = order[np.argsort(sets[order], kind="stable")]
-        sets, keys = sets[order], keys[order]
-        new_pair = np.ones(len(order), dtype=bool)
-        new_pair[1:] = (sets[1:] != sets[:-1]) | (keys[1:] != keys[:-1])
-        inverse = np.empty(len(order), dtype=np.intp)
-        inverse[order] = np.cumsum(new_pair) - 1
-        return sets[new_pair], keys[new_pair], inverse
+    @cached_property
+    def _mask_words(self) -> np.ndarray:
+        """``_word_matrix`` of erasure masks: mask @ it packs each erased set into int64 words."""
+        return _word_matrix(self.n, 2)
 
-    def _erased_id(self, row: np.ndarray) -> int:
-        """Id of the erased set a mask row flags; a new set starts at live weight 0."""
-        erased = tuple(np.flatnonzero(row).tolist())
-        if erased not in self._erased_ids:
-            self._erased_ids[erased] = len(self._erased_sets)
-            self._erased_sets.append(erased)
-            self._progress.append((0, 0))
-        return self._erased_ids[erased]
+    @cached_property
+    def _lex_words(self) -> np.ndarray:
+        """``_word_matrix`` of (a|b) vectors: rows @ it are their lex-rank words."""
+        return _word_matrix(2 * self.n, self.p)
 
-    def _decode_by_coset(self, sets: np.ndarray, keys: np.ndarray) -> None:
-        """Extend the leader cache until it holds every (erased-set id,
-        syndrome key) pair of the sorted arrays sets, keys.
+    @cached_property
+    def _pair_span(self) -> Optional[int]:
+        """p^dim(C) when every (erased set, syndrome) pair packs exactly into
+        one int64, set word * p^dim(C) + syndrome key; else None."""
+        words = self._mask_words
+        span = self.p**self.stab.dim
+        return span if words.shape[1] == 1 and (int(words.sum()) + 1) * span <= 1 << 63 else None
 
-        Each round, every erased set still missing a syndrome gains its next
-        live-weight class w: w nonzero pairs off the erased set, every one of
-        the p^(2e) contents on it, resuming after the last class generated
-        for that set. A syndrome first met in class w has no vector of lower
-        live weight, so the lex-smallest row of the class with that syndrome
-        is its exact leader. The sets that share (e, w) are built together,
-        as many per step as fit BUILD_ENTRIES, per-pair minima are merged
-        across the blocks of a step, and the round's new leaders join the
-        cache in one merge. A set is refused before generating a class that
-        would take the vectors generated for it past ENUM_CAP.
-        """
-        n = self.n
-        q = self.p * self.p
-        max_rows = max(1, BUILD_ENTRIES // (2 * n))
-        while len(sets):
-            classes: dict = {}
-            for s in sets[np.flatnonzero(np.diff(sets, prepend=-1))].tolist():
-                erased, (w, generated) = self._erased_sets[s], self._progress[s]
-                size = comb(n - len(erased), w) * (q - 1) ** w * q ** len(erased)
-                if generated + size > ENUM_CAP:
-                    raise FeasibilityError(
-                        f"decoding with {len(erased)} erased positions enumerates "
-                        f"{generated + size} weight-class vectors through weight {w}, "
-                        f"over cap {ENUM_CAP}"
-                    )
-                classes.setdefault((len(erased), w, size), []).append(s)
-            steps = []
-            for (e, w, size), group in sorted(classes.items()):
-                per_step = max(1, max_rows // size)
-                for start in range(0, len(group), per_step):
-                    steps.append(self._build_class(group[start : start + per_step], e, w, size))
-            # a set sits in one step, whose pairs are sorted, so a stable sort
-            # by set sorts the round by (set, key)
-            at, new_sets, new_keys, new_rows = (np.concatenate(part) for part in zip(*steps))
-            order = np.argsort(new_sets, kind="stable")
-            at, new_sets, new_keys, new_rows = at[order], new_sets[order], new_keys[order], new_rows[order]
-            self._cache_sets = np.insert(self._cache_sets, at, new_sets)
-            self._cache_keys = np.insert(self._cache_keys, at, new_keys)
-            self._leaders = np.insert(self._leaders, at, new_rows, axis=0)
-            missing = ~_search(new_sets, new_keys, sets, keys)[1]
-            sets, keys = sets[missing], keys[missing]
+    def _pair_keys(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (erased set, syndrome) pair of each mask row and syndrome row as
+        one sortable key, in (erased set, syndrome) order: one int64 when the
+        pairs pack exactly (``_pair_span``), else a void of the mask words and
+        the syndrome key, so that no pair is packed into an int64 that could
+        overflow."""
+        words = mask @ self._mask_words
+        keys = rows @ self._syndrome_radix
+        if self._pair_span:
+            return words[:, 0] * self._pair_span + keys
+        cols = np.ascontiguousarray(np.column_stack([words, keys]), dtype=">i8")
+        return cols.view(f"V{8 * cols.shape[1]}")[:, 0]
 
-    def _build_class(self, sets: list, e: int, w: int, size: int) -> Tuple[np.ndarray, ...]:
-        """Generate live-weight class w of each erased set of size e in sets
-        (size vectors each); returns the cache position, set, key and uint8
-        leader of each pair the class leads and the cache lacks, sorted by
-        (set, key)."""
+    def _weight_class(self, w: int) -> Tuple[np.ndarray, ...]:
+        """Class w: the vectors with exactly w nonzero pairs, over all n
+        positions, as (syndrome keys, lex-rank words, support mask words),
+        sorted by (key, lex rank). Built once per code, after the classes
+        below it; refused before generating a class that would take the
+        vectors generated for the code past ENUM_CAP."""
         p, n = self.p, self.n
-        supports = [
-            erased + tail
-            for erased in (self._erased_sets[s] for s in sets)
-            for tail in itertools.combinations([i for i in range(n) if i not in erased], w)
-        ]
-        owners = np.asarray(sets, dtype=np.int64)
-        found, done = None, 0
-        for block in sp.support_vectors(n, p, supports, free=e):
-            owner = owners[(done + np.arange(len(block))) // size]
-            done += len(block)
-            keys = fm.mat_mod(block, self._syndrome_check, p) @ self._syndrome_radix
-            step = _lex_first(owner, keys, block.astype(np.uint8), p)
-            if found is not None:
-                step = _lex_first(*(np.concatenate(pair) for pair in zip(found, step)), p)
-            found = step
-        for s in sets:
-            self._progress[s] = (w + 1, self._progress[s][1] + size)
-        at, cached = _search(self._cache_sets, self._cache_keys, *found[:2])
-        fresh = ~cached
-        return at[fresh], found[0][fresh], found[1][fresh], found[2][fresh]
+        while len(self._classes) <= w:
+            v = len(self._classes)
+            generated = self._generated + comb(n, v) * (p * p - 1) ** v
+            if generated > ENUM_CAP:
+                raise FeasibilityError(
+                    f"decoding enumerates {generated} weight-class vectors through weight {v}, "
+                    f"over cap {ENUM_CAP}"
+                )
+            parts = [
+                (
+                    fm.mat_mod(block, self._syndrome_check, p) @ self._syndrome_radix,
+                    block @ self._lex_words,
+                    ((block[:, :n] != 0) | (block[:, n:] != 0)) @ self._mask_words,
+                )
+                for block in sp.support_vectors(n, p, itertools.combinations(range(n), v))
+            ]
+            keys, words, bits = (np.concatenate(part) for part in zip(*parts))
+            order = np.lexsort((*words.T[::-1], keys))
+            self._classes.append((keys[order], words[order], bits[order]))
+            self._generated = generated
+        return self._classes[w]
+
+    def _decode_by_coset(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> None:
+        """Extend the leader cache by the pair key of every row (erasure mask
+        row, syndrome row).
+
+        The distinct pairs are led by erased-set size e, in groups of whole
+        erased sets whose p^(2e) contents fit BUILD_ENTRIES (a larger set
+        alone), and join the cache in one merge. A set's p^(2e) contents are
+        counted before any is generated, and refused above ENUM_CAP.
+        """
+        order = np.argsort(keys, kind="stable")
+        order = order[_firsts(keys[order])]
+        keys, mask, rows = keys[order], mask[order], rows[order]
+        words = np.empty((len(keys), self._lex_words.shape[1]), dtype=np.int64)
+        sizes = np.count_nonzero(mask, axis=1)
+        for e in sorted(set(sizes.tolist())):
+            contents = (self.p * self.p) ** e
+            if contents > ENUM_CAP:
+                raise FeasibilityError(
+                    f"decoding with {e} erased positions enumerates {contents} weight-class "
+                    f"vectors on them, over cap {ENUM_CAP}"
+                )
+            pending = np.flatnonzero(sizes == e)
+            starts = np.flatnonzero(_firsts(mask[pending]))
+            per_group = max(1, self._chunk_rows // contents)
+            for part in np.split(pending, starts[per_group::per_group]):
+                words[part] = self._join(keys[part], mask[part], rows[part], e)
+        # each digit sits in its lex-rank word at its place value
+        place = self._lex_words.max(axis=1)
+        leaders = (words[:, self._lex_words.argmax(axis=1)] // place % self.p).astype(np.uint8)
+        at = np.searchsorted(self._cache_keys, keys)
+        self._cache_keys = np.insert(self._cache_keys, at, keys)
+        self._leaders = np.insert(self._leaders, at, leaders, axis=0)
+
+    @property
+    def _chunk_rows(self) -> int:
+        """Rows of one decoder chunk: BUILD_ENTRIES // (2n), one at least."""
+        return max(1, BUILD_ENTRIES // (2 * self.n))
+
+    def _join(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
+        """Lex-rank words of the leader of each (erased set, syndrome) pair:
+        sorted distinct pair keys, with their mask rows and syndrome rows;
+        every set has e positions.
+
+        A leader is y + z: y one of the p^(2e) contents on the erased set E,
+        z of minimum weight w off E. Content c of a set is the base-p digits
+        of c on its a and b columns, so contents are numbered in lex order,
+        and the first with a syndrome is the only one that can lead with it,
+        whatever z joins it. At w = 0 (z = 0) a pair's leader is that content
+        for s, found by one lookup. At each w >= 1, each pair still open
+        joins those contents y against class w on the key of s - syn(y),
+        drops the class rows that touch E, and keeps the lex-smallest y + z.
+        y and z have disjoint digits, so their lex-rank words add. Contents
+        and candidates are taken about ``_chunk_rows`` at a time.
+        """
+        p, n, radix, chunk = self.p, self.n, self._syndrome_radix, self._chunk_rows
+        new_set = _firsts(mask)
+        set_of = np.cumsum(new_set) - 1
+        sets = mask[new_set]
+        supports = np.nonzero(sets)[1].reshape(len(sets), e)
+        columns = np.concatenate([supports, n + supports], axis=1)
+        powers = p ** np.arange(2 * e - 1, -1, -1)
+        # the first content of each (set, syndrome key), sorted by (set, key):
+        # contents go in number order, so a key keeps its earliest content
+        lead_set = lead_key = lead_content = np.empty(0, dtype=np.int64)
+        step = max(1, chunk // len(sets))
+        for start in range(0, (p * p) ** e, step):
+            content = np.arange(start, min(start + step, (p * p) ** e))
+            found_keys = fm.mat_mod(content[:, None] // powers % p, self._syndrome_check[columns], p) @ radix
+            owner = np.concatenate([lead_set, np.repeat(np.arange(len(sets)), len(content))])
+            key = np.concatenate([lead_key, found_keys.ravel()])
+            content = np.concatenate([lead_content, np.tile(content, len(sets))])
+            order = np.lexsort((key, owner))
+            order = order[_firsts(np.column_stack([owner[order], key[order]]))]
+            lead_set, lead_key, lead_content = owner[order], key[order], content[order]
+        lead_syn = lead_key[:, None] // radix % p
+        lead_words = np.einsum("ij,ijk->ik", lead_content[:, None] // powers % p, self._lex_words[columns[lead_set]])
+        best = np.empty((len(mask), self._lex_words.shape[1]), dtype=np.int64)
+        # w = 0 (class 0 is the zero vector): one lookup of each pair among
+        # the leads, whose pair keys are sorted too
+        self._weight_class(0)
+        at, found = _find(self._pair_keys(sets[lead_set], lead_syn), keys)
+        best[found] = lead_words[at[found]]
+        # w >= 1: candidates (open pair, each lead of its set), in pieces of
+        # the open pairs whose candidates start in one chunk
+        open_pairs = np.flatnonzero(~found)
+        start = np.searchsorted(lead_set, set_of[open_pairs])
+        count = np.searchsorted(lead_set, set_of[open_pairs], side="right") - start
+        first = np.cumsum(count) - count
+        for piece in np.split(np.arange(len(open_pairs)), np.flatnonzero(np.diff(first // chunk)) + 1):
+            pair = np.repeat(open_pairs[piece], count[piece])
+            offset = start[piece] - np.cumsum(count[piece]) + count[piece]
+            content = np.arange(len(pair)) + np.repeat(offset, count[piece])
+            rest = rows[pair] - lead_syn[content]
+            rest[rest < 0] += p
+            targets = rest @ radix
+            erased_bits = (mask @ self._mask_words)[pair]
+            w = 1
+            while len(pair):
+                class_keys, class_words, class_bits = self._weight_class(w)
+                z = _first_clear(
+                    np.searchsorted(class_keys, targets),
+                    np.searchsorted(class_keys, targets, side="right"),
+                    erased_bits,
+                    class_bits,
+                    chunk,
+                )
+                hit = np.flatnonzero(z >= 0)
+                owner, total = pair[hit], lead_words[content[hit]] + class_words[z[hit]]
+                order = np.lexsort((*total.T[::-1], owner))
+                order = order[_firsts(owner[order])]
+                best[owner[order]] = total[order]
+                found[owner] = True
+                still = ~found[pair]
+                pair, content, targets, erased_bits = pair[still], content[still], targets[still], erased_bits[still]
+                w += 1
+        return best
 
     def coset_representatives(self, rows: np.ndarray) -> np.ndarray:
         """Canonical C-coset representative of each row (entries of any sign
@@ -323,47 +394,53 @@ def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[i
     return np.broadcast_to(mask, rows + (n,))
 
 
-def _search(sets: np.ndarray, keys: np.ndarray, at_sets: np.ndarray, at_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per (set, key) pair of the sorted arrays at_sets, at_keys: its position
-    in the (set, key)-sorted columns sets, keys, and whether it is there.
+def _word_matrix(length: int, base: int) -> np.ndarray:
+    """(length, words) int64 matrix W: for rows of base-``base`` digits,
+    rows @ W packs each row into int64 words of at most 62 bits, the leading
+    digits most significant, so sorting by the words sorts the rows
+    lexicographically. Rows with disjoint nonzero digits add word by word."""
+    width = max(1, 62 // base.bit_length())
+    j = np.arange(length)
+    matrix = np.zeros((length, -(-length // width)), dtype=np.int64)
+    matrix[j, j // width] = base ** (width - 1 - j % width)
+    return matrix
 
-    Two int64 searches: the slice of each set in sets, then the keys within it.
-    """
-    starts = np.flatnonzero(np.diff(at_sets, prepend=-1))
-    bounds = zip(
-        starts.tolist(),
-        np.append(starts[1:], len(at_sets)).tolist(),
-        np.searchsorted(sets, at_sets[starts]).tolist(),
-        np.searchsorted(sets, at_sets[starts], side="right").tolist(),
-    )
-    at = np.empty(len(at_sets), dtype=np.intp)
-    for start, stop, lo, hi in bounds:
-        at[start:stop] = lo + np.searchsorted(keys[lo:hi], at_keys[start:stop])
-    there = at < len(sets)
-    hit = at[there]
-    there[there] = (sets[hit] == at_sets[there]) & (keys[hit] == at_keys[there])
+
+def _find(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each key's position in the sorted table, and whether it is there."""
+    at = np.searchsorted(table, keys)
+    there = at < len(table)
+    there[there] = table[at[there]] == keys[there]
     return at, there
 
 
-def _radix_words(digits: np.ndarray, base: int) -> list:
-    """Each row of base-``base`` digits as int64 numbers of at most 62 bits,
-    the first for the leading columns: sorting by them sorts the rows
-    lexicographically."""
-    width = max(1, 62 // base.bit_length())
-    return [
-        digits[:, i : i + width] @ base ** np.arange(min(width, digits.shape[1] - i) - 1, -1, -1, dtype=np.int64)
-        for i in range(0, digits.shape[1], width)
-    ]
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """For sorted rows (or values) a, whether each starts a run of equal ones."""
+    first = np.ones(len(a), dtype=bool)
+    differs = a[1:] != a[:-1]
+    first[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return first
 
 
-def _lex_first(sets: np.ndarray, keys: np.ndarray, rows: np.ndarray, p: int) -> Tuple[np.ndarray, ...]:
-    """(distinct (set, key) pairs in sorted order as two arrays, the
-    lexicographically smallest row with each pair)."""
-    order = np.lexsort((*_radix_words(rows, p)[::-1], keys, sets))
-    sets, keys, rows = sets[order], keys[order], rows[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (sets[1:] != sets[:-1])
-    return sets[first], keys[first], rows[first]
+def _first_clear(lo: np.ndarray, hi: np.ndarray, erased: np.ndarray, bits: np.ndarray, chunk: int) -> np.ndarray:
+    """Per candidate i, the first row r in [lo[i], hi[i]) whose support words
+    bits[r] miss the candidate's erased words erased[i], or -1. The ranges are
+    scanned concatenated, ``chunk`` rows at a time."""
+    found = np.full(len(lo), -1, dtype=np.int64)
+    ends = np.cumsum(hi - lo)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, chunk):
+        at = np.arange(start, min(start + chunk, total))
+        owner = np.searchsorted(ends, at, side="right")
+        row = hi[owner] - (ends[owner] - at)
+        clear = ~(bits[row] & erased[owner]).any(axis=1)
+        owner, row = owner[clear], row[clear]
+        first = np.ones(len(owner), dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        owner, row = owner[first], row[first]
+        fresh = found[owner] < 0
+        found[owner[fresh]] = row[fresh]
+    return found
 
 
 def min_weight_outside(sub: sp.SympSubspace) -> Tuple[Optional[int], Optional[int]]:

@@ -424,11 +424,13 @@ def exact_fidelity(
     ``sp.support_vectors`` with all m pairs free) for every erased subset of
     nonzero probability (2^m of them when 0 < erasure < 1, else one), and
     refuses before the first kernel call when that exceeds ENUM_CAP, or when
-    the channel's field is not the code's. The subsets' rows, each with its
-    subset's erasure mask, reach the kernel in blocks of sp.BLOCK_ENTRIES //
-    (2n) rows, as ``verify_guarantee``'s patterns do; only each row's success
-    and acceptance flags are kept, and each subset's probabilities are summed
-    on their own, in subset order.
+    the channel's field is not the code's. The rows are never stacked: they
+    are generated block by block, each block paired with every subset's
+    erasure mask in turn, and reach the kernel in blocks of
+    sp.BLOCK_ENTRIES // (2n) rows, as ``verify_guarantee``'s patterns do.
+    Only each row's success and acceptance flags are kept, and which of its
+    noisy pairs carry an error; each subset's probabilities are summed on
+    their own, in subset order.
     """
     code = spec.extended_code
     p = code.p
@@ -445,33 +447,51 @@ def exact_fidelity(
         )
     n_total = code.n
     pos = np.asarray(noisy, dtype=np.int64)
-    errors = np.vstack(list(sp.support_vectors(n_total, p, [noisy], free=m)))
-    rate = channel.depolarizing
-    hit = (errors[:, pos] != 0) | (errors[:, n_total + pos] != 0)
-    depol_prob = np.where(hit, rate / (q - 1), 1.0 - rate)
-
     subsets = []
     for e in range(m + 1):
         subset_prob = er**e * (1.0 - er) ** (m - e)
         if subset_prob != 0.0:
             subsets += [(list(local), subset_prob) for local in itertools.combinations(range(m), e)]
-    size = len(errors)
     masks = np.zeros((len(subsets), n_total), dtype=bool)
     for j, (local, _) in enumerate(subsets):
         masks[j, pos[local]] = True
-    blocks = ((errors, np.broadcast_to(mask, (size, n_total))) for mask in masks)
+
+    hit = []
+
+    def blocks():
+        # each block of the q^m rows is generated once and meets every subset
+        for rows in sp.support_vectors(n_total, p, [noisy], free=m):
+            hit.append((rows[:, pos] != 0) | (rows[:, n_total + pos] != 0))
+            for mask in masks:
+                yield rows, np.broadcast_to(mask, (len(rows), n_total))
+
+    max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n_total))
     accept, good = [], []
-    for rows, row_masks in _regroup(blocks, max(1, sp.BLOCK_ENTRIES // (2 * n_total))):
+    for rows, row_masks in _regroup(blocks(), max_rows):
         outcome = run_protocol(spec, ErrorPattern(rows, row_masks), postselect)
         accept.append(~outcome.discarded)
         good.append(outcome.success & accept[-1])
-    accept, good = np.concatenate(accept), np.concatenate(good)
+    # the flags as (subset, row): each block's flags are (subset, row in block)
+    bounds = np.cumsum([len(part) for part in hit])[:-1] * len(subsets)
+    accept, good = (
+        np.concatenate([part.reshape(len(subsets), -1) for part in np.split(np.concatenate(flags), bounds)], axis=1)
+        for flags in (accept, good)
+    )
+    # which noisy pairs of each row carry an error, as flags: a float table of
+    # the q^m rows would take eight times the memory
+    hit = np.concatenate(hit)
+    rate, size = channel.depolarizing, len(hit)
     total_good = total_accept = 0.0
     for j, (local, subset_prob) in enumerate(subsets):
-        prob = depol_prob[:, ~masks[j, pos]].prod(axis=1) * (1.0 / q) ** len(local) * subset_prob
-        block = slice(j * size, (j + 1) * size)
-        total_accept += float(prob[accept[block]].sum())
-        total_good += float(prob[good[block]].sum())
+        live = ~masks[j, pos]
+        # each row's product over its live pairs, taken max_rows rows at a time
+        depol = np.concatenate([
+            np.where(hit[start : start + max_rows, live], rate / (q - 1), 1.0 - rate).prod(axis=1)
+            for start in range(0, size, max_rows)
+        ])
+        prob = depol * (1.0 / q) ** len(local) * subset_prob
+        total_accept += float(prob[accept[j]].sum())
+        total_good += float(prob[good[j]].sum())
     if postselect.mode == "none":
         return ExactFidelity(total_good)
     return ExactFidelity(total_good / total_accept if total_accept else 0.0, total_accept)

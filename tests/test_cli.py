@@ -88,6 +88,37 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_erasure_rate_reaches_the_erasure_decoder(self):
+        from breedsim import engine
+        from breedsim.breeding import convert_pure
+        from breedsim.catalog import builtin_entry
+
+        argv = ["simulate", "--code", "five_qubit", "--puncture", "5", "--rates", "0.05,0.1",
+                "--trials", "400", "--seed", "2", "--format", "jsonl", "--erasure", "0.2"]
+        code, out = run_cli(*argv)
+        assert code == 0
+        spec = convert_pure(builtin_entry("five_qubit").code, {4})
+        for line, rate in zip(out.splitlines(), (0.05, 0.1), strict=True):
+            rec = json.loads(line)
+            report = engine.simulate(spec, engine.Channel(2, rate, 0.2), 400, seed=2)
+            assert (rec["rate"], rec["erasure"]) == (f"{rate:.6f}", "0.200000")
+            assert (rec["trials"], rec["discards"]) == (report.trials, report.discards)
+            assert rec["fidelity"] == f"{report.fidelity_estimate:.6f}"
+
+    def test_output_without_erasure_flag_is_unchanged(self):
+        argv = ["simulate", "--code", "six_four_two", "--puncture", "6", "--rates", "0.05,0.1",
+                "--trials", "300", "--seed", "4"]
+        # recorded before simulate took --erasure
+        assert run_cli(*argv) == (0, (
+            "name=six_four_two rate=0.050000 trials=300 discards=0 fidelity=0.760000 "
+            "ci95=0.048329 gross=4 net=3 seed=4\n"
+            "name=six_four_two rate=0.100000 trials=300 discards=0 fidelity=0.566667 "
+            "ci95=0.056075 gross=4 net=3 seed=4\n"
+        ))
+        # a zero erasure rate samples and decodes the same trials
+        code, out = run_cli(*argv, "--erasure", "0")
+        assert out == run_cli(*argv)[1].replace(" trials=", " erasure=0.000000 trials=")
+
 
 class TestSearch:
     def test_not_exists(self):
@@ -194,6 +225,8 @@ SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
         (SIM + ["--trials", "1.5"], 2),
         (SIM + ["--postselect", "sometimes"], 2),
         (SIM + ["--postselect", "weight:x"], 2),
+        (SIM + ["--erasure", "abc"], 2),
+        (SIM + ["--erasure", "0.1,0.2"], 2),
         (VERIFY + ["--puncture", "x"], 2),
         (VERIFY + ["--puncture", "6,"], 2),
         (VERIFY + ["--budget", "abc"], 2),
@@ -205,6 +238,9 @@ SEARCH = ["search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"]
         (VERIFY + ["--puncture", "1,2"], 1),
         (VERIFY + ["--puncture", "1,1"], 1),
         (SIM + ["--seed", "-1"], 1),
+        (SIM + ["--erasure", "1.5"], 1),
+        (SIM + ["--erasure", "-0.1"], 1),
+        (SIM + ["--erasure", "nan"], 1),
         # the same split for analyze, search and compare
         (ANALYZE + ["--format", "xml"], 2),
         (["analyze"], 2),

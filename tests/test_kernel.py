@@ -5,6 +5,7 @@ Codes are random self-orthogonal extensions (``symp_extend``) of random
 subspaces over p in {2, 3, 5}, small enough that F_p^{2n} can be listed.
 """
 
+import contextlib
 import itertools
 from math import comb
 from unittest import mock
@@ -81,15 +82,21 @@ def all_syndromes(code):
 
 def brute_force_leaders(code, erased):
     """Leader of every syndrome, in key order, by listing all of F_p^{2n}: the
-    minimum weight off the erased positions, then the lex-smallest (a|b)."""
-    p, n = code.p, code.n
-    live = [i for i in range(n) if i not in erased]
-    best = {}
-    for vec in itertools.product(range(p), repeat=2 * n):
-        syn = tuple(code.syndrome(np.asarray(vec)))
-        weight = sum(1 for i in live if vec[i] or vec[n + i])
-        best[syn] = min(best.get(syn, (weight, vec)), (weight, vec))
-    return np.asarray([best[tuple(s)][1] for s in all_syndromes(code)], dtype=np.int64)
+    minimum weight off the erased positions, then the lex-smallest (a|b).
+    Vector i has the base-p digits of i, so index order is lex order, and
+    syndromes are symplectic products with the stabilizer basis."""
+    p, n, m = code.p, code.n, code.stab.dim
+    vectors = np.arange(p ** (2 * n))[:, None] // p ** np.arange(2 * n - 1, -1, -1) % p
+    keys = sp.pairwise_products(code.stab.basis, vectors, p).T @ p ** np.arange(m - 1, -1, -1)
+    live = np.ones(n, dtype=bool)
+    live[list(erased)] = False
+    weights = ((vectors[:, :n] != 0) | (vectors[:, n:] != 0))[:, live].sum(axis=1)
+    # lexsort is stable: among rows of equal key and weight, the lowest index
+    order = np.lexsort((weights, keys))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    assert first.sum() == p**m
+    return vectors[order[first]]
 
 
 def brute_force_min_weights(sub):
@@ -279,59 +286,134 @@ def test_decode_mixes_erased_sets_in_one_batch(case, data):
     assert np.array_equal(warm.decode(batch, mask), want)
 
 
-def test_sets_of_one_class_split_across_build_steps(monkeypatch):
-    # the five erased sets of size 1 share every class; class 0 of one holds
-    # the 4 contents of its erased position, so steps of 8 rows take two sets
+@SETTINGS
+@given(extended_codes(), st.data())
+def test_decode_calls_on_one_code_match_brute_force(case, data):
+    code = case[0]
+    p, n = code.p, code.n
+    sets = data.draw(st.lists(st.frozensets(st.integers(0, n - 1)), min_size=2, max_size=4, unique=True))
+    expected = [brute_force_leaders(code, erased) for erased in sets]
+    syndromes = all_syndromes(code)
+    keys = st.integers(0, len(syndromes) - 1)
+    rows = st.lists(st.tuples(st.integers(0, len(sets) - 1), keys), max_size=12)
+    # the first set is asked for one syndrome, then for all of them; rows of
+    # every set are mixed into each call
+    calls = [
+        [(0, data.draw(keys))] + [pair for pair in data.draw(rows) if pair[0]],
+        [(0, key) for key in range(len(syndromes))] + data.draw(rows),
+        data.draw(rows),
+    ]
+    # pairs packed into int64 keys, or held as (mask words, key) voids
+    packed = data.draw(st.booleans())
+    with contextlib.nullcontext() if packed else mock.patch.object(StabilizerCode, "_pair_span", None):
+        one = StabilizerCode(p, n, code.stab.basis)
+        assert bool(one._pair_span) == packed
+        for pairs in calls:
+            pairs = data.draw(st.permutations(pairs))
+            mask = erasure_mask([sets[s] for s, _ in pairs], n)
+            want = np.asarray([expected[s][key] for s, key in pairs]).reshape(-1, 2 * n)
+            assert np.array_equal(one.decode(syndromes[[key for _, key in pairs]].reshape(-1, code.stab.dim), mask), want)
+
+
+def test_ties_go_to_the_lex_smallest_content_plus_class_row():
+    # Z_0 Z_2 and Z_1 Z_2: X_0 (100|000) leads syndrome (1, 0). With qubit 1
+    # erased, X_1 X_2 (011|000) ties with it at live weight 1 and is smaller,
+    # though its content X_1 is not the smallest content, 0
+    code = StabilizerCode(2, 3, [sp.from_string(g, 2) for g in ("000|101", "000|011")])
+    assert sp.to_string(code.decode((1, 0))) == "100|000"
+    assert sp.to_string(code.decode((1, 0), {1})) == "011|000"
+    fresh = StabilizerCode(2, 3, code.stab.basis)
+    got = fresh.decode([[1, 0], [1, 0]], erasure_mask([frozenset(), frozenset({1})], 3))
+    assert [sp.to_string(row) for row in got] == ["100|000", "011|000"]
+    for erased in (frozenset(), frozenset({1})):
+        assert np.array_equal(fresh.decode(all_syndromes(code), erased), brute_force_leaders(code, erased))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+def test_join_chunks_leave_leaders_unchanged(chunk_rows, monkeypatch):
+    # every erased set of at most two of the five qubits, each asked for every
+    # syndrome in one call: a join takes as many whole sets as their 4^e
+    # contents fit the chunk (one at least), lists contents and candidates
+    # about a chunk at a time, and scans class rows a chunk at a time
     entry = next(e for e in builtin_catalog() if e.name == "five_qubit")
     code = StabilizerCode(entry.code.p, entry.code.n, entry.code.stab.basis)
     n = code.n
-    monkeypatch.setattr(codes, "BUILD_ENTRIES", 8 * 2 * n)
-    steps = []
-    build = StabilizerCode._build_class
-
-    def spy(self, sets, e, w, size):
-        steps.append((e, w, list(sets)))
-        return build(self, sets, e, w, size)
-
-    monkeypatch.setattr(StabilizerCode, "_build_class", spy)
-    sets = [frozenset({i}) for i in range(n)]
+    sets = [frozenset(s) for size in range(3) for s in itertools.combinations(range(n), size)]
     syndromes = all_syndromes(code)
-    pairs = list(itertools.product(range(n), range(len(syndromes))))
+    pairs = list(itertools.product(range(len(sets)), range(len(syndromes))))
     order = np.random.default_rng(3).permutation(len(pairs))
     batch = syndromes[[pairs[i][1] for i in order]]
     mask = erasure_mask([sets[pairs[i][0]] for i in order], n)
     expected = [brute_force_leaders(code, erased) for erased in sets]
     want = np.asarray([expected[pairs[i][0]][pairs[i][1]] for i in order])
+    monkeypatch.setattr(codes, "BUILD_ENTRIES", chunk_rows * 2 * n)
+    joins, scans = [], []
+    join, first_clear = StabilizerCode._join, codes._first_clear
+
+    def join_spy(self, keys, mask, rows, e):
+        joins.append((e, len(rows)))
+        return join(self, keys, mask, rows, e)
+
+    def first_clear_spy(lo, hi, erased, bits, chunk):
+        scans.append(chunk)
+        return first_clear(lo, hi, erased, bits, chunk)
+
+    monkeypatch.setattr(StabilizerCode, "_join", join_spy)
+    monkeypatch.setattr(codes, "_first_clear", first_clear_spy)
     assert np.array_equal(code.decode(batch, mask), want)
-    # one round per class: class 1 of one set holds 4 * 4 * 3 = 48 rows, a
-    # step of its own each, and leads every syndrome class 0 left
-    assert steps == [(1, 0, [0, 1]), (1, 0, [2, 3]), (1, 0, [4])] + [(1, 1, [i]) for i in range(n)]
+    steps = []
+    for e, count in ((0, 1), (1, 5), (2, 10)):
+        per_join = max(1, chunk_rows // 4**e)
+        steps += [(e, 16 * min(per_join, count - start)) for start in range(0, count, per_join)]
+    assert joins == steps
+    assert scans and set(scans) == {chunk_rows}
+
+
+def test_decoder_counts_a_sets_contents_before_generating_them(monkeypatch):
+    # two erased qubits carry 4^2 = 16 contents
+    entry = next(e for e in builtin_catalog() if e.name == "five_qubit")
+    code = StabilizerCode(entry.code.p, entry.code.n, entry.code.stab.basis)
+    monkeypatch.setattr(codes, "ENUM_CAP", 15)
+    with pytest.raises(FeasibilityError, match="16 weight-class vectors on them, over cap 15"):
+        code.decode((0, 0, 0, 0), {0, 1})
+    assert code._classes == []
+    monkeypatch.setattr(codes, "ENUM_CAP", 16)
+    assert not code.decode((0, 0, 0, 0), {0, 1}).any()
 
 
 @SETTINGS
 @given(st.data())
-def test_search_finds_pairs_in_sorted_columns(data):
-    pair_lists = st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), unique=True)
-    cache = sorted(data.draw(pair_lists))
-    queries = sorted(data.draw(pair_lists))
-
-    def columns(pairs):
-        return [np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1)]
-
-    at, there = codes._search(*columns(cache), *columns(queries))
-    for i, pair in enumerate(queries):
-        assert bool(there[i]) == (pair in cache)
-        # where the pair sits, or would be inserted to keep the columns sorted
-        assert at[i] == sum(1 for c in cache if c < pair)
+def test_first_clear_matches_a_scan_of_each_range(data):
+    bits = np.asarray(data.draw(st.lists(st.integers(0, 15), min_size=1, max_size=30)), dtype=np.int64)
+    bounds = st.integers(0, len(bits))
+    ranges = data.draw(st.lists(st.tuples(bounds, bounds).map(sorted), max_size=12))
+    erased = data.draw(st.lists(st.integers(0, 15), min_size=len(ranges), max_size=len(ranges)))
+    lo = np.array([a for a, _ in ranges], dtype=np.int64)
+    hi = np.array([b for _, b in ranges], dtype=np.int64)
+    chunk = data.draw(st.integers(1, 8))
+    got = codes._first_clear(lo, hi, np.asarray(erased, dtype=np.int64)[:, None], bits[:, None], chunk)
+    want = [next((r for r in range(a, b) if not bits[r] & e), -1) for (a, b), e in zip(ranges, erased)]
+    assert got.tolist() == want
 
 
-def test_lex_first_keeps_each_erased_set_apart():
-    sets = np.array([1, 0, 0, 1, 0])
-    keys = np.array([5, 5, 7, 5, 5])
-    rows = np.array([[0, 2], [1, 0], [0, 0], [0, 1], [0, 3]])
-    got_sets, got_keys, got_rows = codes._lex_first(sets, keys, rows, 5)
-    assert got_sets.tolist() == [0, 0, 1] and got_keys.tolist() == [5, 7, 5]
-    assert got_rows.tolist() == [[0, 3], [0, 0], [0, 1]]
+@SETTINGS
+@given(extended_codes(), st.data())
+def test_pair_keys_sort_by_erased_set_then_syndrome(case, data):
+    code = case[0]
+    n = code.n
+    rows = data.draw(st.integers(1, 20))
+    mask = np.reshape(data.draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n)), (rows, n))
+    syndromes = all_syndromes(code)
+    syn = syndromes[data.draw(st.lists(st.integers(0, len(syndromes) - 1), min_size=rows, max_size=rows))]
+    pairs = [(tuple(mask[i].tolist()), tuple(syn[i].tolist())) for i in range(rows)]
+    want = sorted(range(rows), key=pairs.__getitem__)
+    assert code._pair_span
+    packed = code._pair_keys(mask, syn)
+    with mock.patch.object(StabilizerCode, "_pair_span", None):
+        voids = StabilizerCode(code.p, n, code.stab.basis)._pair_keys(mask, syn)
+    for keys in (packed, voids):
+        assert np.argsort(keys, kind="stable").tolist() == want
+        assert all((keys[i] == keys[j]) == (pairs[i] == pairs[j]) for i in range(rows) for j in range(rows))
 
 
 def test_cache_keys_hold_pairs_beyond_int64():
