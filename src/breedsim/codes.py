@@ -435,8 +435,7 @@ def _first_clear(lo: np.ndarray, hi: np.ndarray, erased: np.ndarray, bits: np.nd
         row = hi[owner] - (ends[owner] - at)
         clear = ~(bits[row] & erased[owner]).any(axis=1)
         owner, row = owner[clear], row[clear]
-        first = np.ones(len(owner), dtype=bool)
-        first[1:] = owner[1:] != owner[:-1]
+        first = _firsts(owner)
         owner, row = owner[first], row[first]
         fresh = found[owner] < 0
         found[owner[fresh]] = row[fresh]
