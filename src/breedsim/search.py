@@ -7,20 +7,22 @@ a child u are the children of P that pivot after u, are zero on u's pivot and
 are orthogonal to u. The distance filter is exact: a finished subspace has
 d >= d_min iff no vector of symplectic weight below d_min lies in the dual
 outside the code: a leaf c of child u passes iff P's reduced low-weight rows
-orthogonal to u and c all lie on the lines of span(u, c). Those rows are kept
-as their lines, each weighted by the rows on it, and counted by one Gram
-product; each leaf is tested against the lines once per sibling group, and
-only the passing (child, leaf) pairs are kept (see ``_SiblingGroup``). Node
-counts are replayed over each block in DFS order, so verdicts, counts and
-witnesses are those of a leaf-by-leaf search. Symplectic products are float32
-dot products with partner rows, exact because every one is an integer below
-2^24.
+orthogonal to u and c all lie in span(u, c). Those rows are kept as their
+lines, M in all; per vector x after P's last pivot, A(x) is their weight
+orthogonal to x, mu(x) their weight on x's line and D = A - p mu. c passes
+iff D summed over the p + 1 lines of span(u, c) is M, and that sum is never
+less, so a bound from the least D retires children before any of their pairs
+is tested (see ``_SiblingGroup``). Node counts are replayed over each block
+in DFS order, so verdicts, counts and witnesses are those of a leaf-by-leaf
+search. Symplectic products are float32 dot products with partner rows, exact
+because every one is an integer below 2^24.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -151,26 +153,32 @@ class _SiblingGroup:
     """The children of one DFS node chosen and the leaves under each.
 
     A child is an index of ``candidates(chosen)``, or index 0, the zero
-    vector, standing for no child row. leaves is ``candidates(chosen)`` or an
-    ascending part of it. The leaves under a child u are those leaves that
-    pivot after u, are zero on u's pivot and are orthogonal to u, i.e.
-    ``candidates(chosen + u)``; the pivot condition makes them a prefix of
-    leaves.
+    vector, standing for no child row (and then the only child). leaves is
+    ``candidates(chosen)`` or an ascending part of it. The leaves under a
+    child u are those leaves that pivot after u, are zero on u's pivot and
+    are orthogonal to u, i.e. ``candidates(chosen + u)``; the pivot condition
+    makes them a prefix of leaves.
 
     The filter is exact. S holds the low-weight rows orthogonal to chosen,
-    reduced against it. chosen + u + c has no vector of weight below d_min in
-    its dual outside its span iff each row of S orthogonal to u and c lies on
-    the line of u, of c or of some u + gamma c. A row's orthogonality flags
-    are those of its line, so S is kept as lines: the monic vectors mu_keys,
-    each weighted by mu, the number of rows of S on it (mu[0] = 0 for the
-    zero line, where rows inside span(chosen) land). c passes iff
-    G[u, c] - mu[u] - mu[c], G the Gram product O_u^T diag(mu) O_c of
-    orthogonality flags, equals the line sum of mu[monic(u + gamma c)],
-    gamma != 0 (0 for the zero child); only a left side in
-    (0, (p - 1) max mu] needs it. Survivors are returned as (child, leaf)
-    pairs. Blocks hold ~BLOCK_ENTRIES entries; when the children span several
-    blocks, ``share_leaf_flags`` tests each leaf against S once for all of
-    them, otherwise each block tests its leaves a chunk at a time.
+    reduced against it, less those inside span(chosen) (they reduce to zero).
+    chosen + u + c has no vector of weight below d_min in its dual outside its
+    span iff every row of S orthogonal to u and c lies in span(u, c). A row
+    and its multiples are orthogonal to the same vectors, so S is kept as its
+    lines, each weighted by its rows, M in all. Every child, leaf and vector
+    of span(u, c) pivots after the last chosen row, i.e. has an index below
+    ``size``; over that prefix, A(x) is the weight of S orthogonal to x, mu(x)
+    its weight on the line of x and D = A - p mu.
+
+    A row of S orthogonal to span(u, c) is orthogonal to all p + 1 lines of
+    it, any other row to exactly one, so the weight G[u, c] of S orthogonal
+    to u and c is (sum_L A(L) - M) / p over those lines L. c passes iff
+    G[u, c] is the weight of S on span(u, c), i.e. iff sum_L D(L) = M, and
+    the sum is never less. The zero child passes c iff A(c) = mu(c). With
+    D_min the least D on a nonzero vector of the prefix, a child with
+    D(u) + p D_min > M has no passing leaf, and a pair with
+    D(u) + D(c) + (p - 1) D_min > M fails; only the pairs left get the exact
+    sum. A is built ~BLOCK_ENTRIES entries at a time: over the prefix (as D)
+    only for nonzero children, at its leaves only for the zero child.
     """
 
     def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
@@ -178,26 +186,37 @@ class _SiblingGroup:
         sel = table.low_weight
         if len(pivots) and len(sel):
             sel = fm.reduce_rows(chosen, pivots, sel[table.orthogonal(sel, chosen).all(axis=1)], table.p)
-        # the appended zero makes the zero line the first key; rows inside
-        # span(chosen) never disqualify, so it weighs 0
-        self.mu_keys, counts = np.unique(np.append(table.monic_keys(sel), 0), return_counts=True)
-        counts[0] = 0
-        self.mu_values = counts.astype(np.float32)
-        self.lines = table.vectors[self.mu_keys].astype(np.float32)
-        #: flags[l, c]: lines[l] is orthogonal to leaves[c]; set by share_leaf_flags
-        self.flags: Optional[np.ndarray] = None
+        keys = table.monic_keys(sel)
+        keys, counts = np.unique(keys[keys != 0], return_counts=True)
+        self.lines, self.weights = table.vectors[keys].astype(np.float32), counts.astype(np.float32)
+        self.total = int(counts.sum())
+        self.size = int(table.after[pivots[-1] + 1 if pivots else 0])
 
-    def mu(self, idx: np.ndarray) -> np.ndarray:
-        """The weight of S on the line of each monic vector (or zero) of idx."""
-        pos = np.searchsorted(self.mu_keys, idx, side="right") - 1
-        return np.where(self.mu_keys[pos] == idx, self.mu_values[pos], 0)
-
-    def line_sums(self, kids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Per pair (u, c): the weight of S on the lines of u + gamma c, gamma != 0 (0 for u = 0)."""
+    def orthogonal_weight(self, idx: np.ndarray) -> np.ndarray:
+        """A at each vector of idx, a chunk at a time."""
         t = self.table
-        u, c = t.vectors[kids].astype(np.int64), t.vectors[cols].astype(np.int64)
-        total = sum(self.mu(t.monic_keys((u + gamma * c) % t.p)) for gamma in range(1, t.p))
-        return np.where(kids != 0, total, 0)
+        weight = np.empty(len(idx), dtype=np.float32)
+        step = max(1, BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
+        for start in range(0, len(idx), step):
+            flags = t.orthogonal(self.lines, t.vectors[idx[start : start + step]])
+            weight[start : start + step] = self.weights @ flags  # exact: integers below 2^22
+        return weight.astype(np.int64)
+
+    def line_weight(self) -> np.ndarray:
+        """mu over the prefix."""
+        t = self.table
+        mu, lines = np.zeros(self.size, dtype=np.int64), self.lines.astype(np.int64)
+        for gamma in range(1, t.p):
+            idx = gamma * lines % t.p @ t.radix
+            inside = idx < self.size
+            mu[idx[inside]] = self.weights[inside]
+        return mu
+
+    @cached_property
+    def excess(self) -> Tuple[np.ndarray, int]:
+        """D over the prefix, and D_min."""
+        excess = self.orthogonal_weight(np.arange(self.size)) - self.table.p * self.line_weight()
+        return excess, int(excess[1:].min(initial=self.total))
 
     def ends(self, kids: np.ndarray) -> np.ndarray:
         """How many leaves, from the first, pivot after each child."""
@@ -205,29 +224,16 @@ class _SiblingGroup:
 
     def blocks(self, kids: np.ndarray) -> List[slice]:
         """Consecutive blocks of kids, each as large as its intermediates allow."""
-        ends = np.maximum(self.ends(kids), len(self.lines))
+        ends = np.maximum(self.ends(kids), 2 * self.table.n)
         blocks, start = [], 0
         while start < len(kids):
-            # a block of count kids holds count * max(widest prefix, |S|) entries
+            # a block of count kids holds count * max(widest prefix, 2n) entries
             widest = np.maximum.accumulate(ends[start : start + BLOCK_ENTRIES])
             entries = widest * np.arange(1, len(widest) + 1)
             count = max(1, int(np.searchsorted(entries, BLOCK_ENTRIES, side="right")))
             blocks.append(slice(start, start + count))
             start += count
         return blocks
-
-    def share_leaf_flags(self, kids: np.ndarray) -> None:
-        """Test the leaves that pivot after some child against S's lines once,
-        for every block of kids; |lines| x leaves bools, built a chunk at a time.
-        A group with several children has m >= 2, where the feasibility cap
-        keeps p^(2n) <= 10^4, so the table stays below 17 MB."""
-        t = self.table
-        leaves = self.leaves[: self.ends(kids).max(initial=0)]
-        self.flags = np.empty((len(self.lines), len(leaves)), dtype=bool)
-        step = max(1, BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
-        for start in range(0, len(leaves), step):
-            cols = leaves[start : start + step]
-            self.flags[:, start : start + len(cols)] = t.orthogonal(self.lines, t.vectors[cols])
 
     def leaf_candidates(self, kids: np.ndarray) -> np.ndarray:
         """cand[j, c]: leaves[c] is a leaf under kids[j], over the leaves
@@ -247,31 +253,28 @@ class _SiblingGroup:
     def survivors(self, kids: np.ndarray, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The leaf candidates cand of kids that pass the distance filter, as
         (child position, leaf position) pairs ordered by child, then leaf."""
-        t = self.table
-        gram_u = t.orthogonal(self.lines, t.vectors[kids]).T * self.mu_values
-        gram_u[:, 0] = -self.mu(kids)  # the zero line is orthogonal to every leaf: it subtracts mu[u]
-        bound = np.where(kids != 0, (t.p - 1) * self.mu_values.max(), 0)[:, None]
-        found_j, found_c = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        step = max(1, BLOCK_ENTRIES // max(len(kids), len(self.lines), 2 * t.n))
-        pair_step = max(1, BLOCK_ENTRIES // (2 * t.n))
-        for start in range(0, cand.shape[1] if len(kids) else 0, step):
-            at = start + np.flatnonzero(cand[:, start : start + step].any(axis=0))  # under some child
-            cols = self.leaves[at]
-            flags = t.orthogonal(self.lines, t.vectors[cols]) if self.flags is None else self.flags[:, at]
-            excess = gram_u @ flags.astype(np.float32)
-            excess -= self.mu(cols)  # in place: exact small integers in float32
-            # excess >= 0 on leaf candidates; a 1-D nonzero is far faster on sparse flags
-            j, c = np.divmod(np.flatnonzero(cand[:, at] & (excess <= bound)), len(cols))
-            left = excess[j, c]
-            open_ = np.flatnonzero(left)
-            for first in range(0, len(open_), pair_step):
-                o = open_[first : first + pair_step]
-                left[o] -= self.line_sums(kids[j[o]], cols[c[o]])
-            found_j.append(j[left == 0])
-            found_c.append(at[c[left == 0]])
-        j, c = np.concatenate(found_j), np.concatenate(found_c)
-        order = np.argsort(j, kind="stable")  # chunks ascend by leaf, so each child's leaves stay ascending
-        return j[order], c[order]
+        t, p = self.table, self.table.p
+        leaves = self.leaves[: cand.shape[1]]
+        if not kids.any():  # the zero child alone, or no child
+            at = np.flatnonzero(cand.any(axis=0))
+            ok = self.orthogonal_weight(leaves[at]) == self.line_weight()[leaves[at]]
+            return np.zeros(int(ok.sum()), dtype=np.int64), at[ok]
+        excess, least = self.excess
+        kid_excess, leaf_excess = excess[kids], excess[leaves]
+        # the bound on sum_L D(L) leaves room for D(c); a child with no room for D_min is retired
+        room = self.total - (p - 1) * least - kid_excess
+        live = np.flatnonzero(room >= least)
+        j, c = np.nonzero(cand[live] & (leaf_excess <= room[live, None]))
+        j = live[j]
+        line_sums = kid_excess[j] + leaf_excess[c]
+        step = max(1, BLOCK_ENTRIES // (2 * t.n))
+        for start in range(0, len(j), step):
+            u = t.vectors[kids[j[start : start + step]]].astype(np.int64)
+            v = t.vectors[leaves[c[start : start + step]]].astype(np.int64)
+            for gamma in range(1, p):  # the lines of u + gamma c
+                line_sums[start : start + step] += excess[(u + gamma * v) % p @ t.radix]
+        keep = line_sums == self.total
+        return j[keep], c[keep]
 
 
 def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
@@ -315,10 +318,7 @@ def search_codes(q: SearchQuery) -> SearchResult:
 
     def last_levels(chosen: np.ndarray, pivots: List[int], kids: np.ndarray, leaves: np.ndarray):
         group = _SiblingGroup(table, chosen, pivots, leaves)
-        blocks = group.blocks(kids)
-        if len(blocks) > 1:
-            group.share_leaf_flags(kids)
-        for block in blocks:
+        for block in group.blocks(kids):
             block = kids[block]
             cand = group.leaf_candidates(block)
             # each child costs a node (the zero row stands for none), then its leaves do

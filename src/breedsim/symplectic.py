@@ -16,7 +16,7 @@ import numpy as np
 from . import fieldmath as fm
 
 #: entries (rows x 2n) of one block that ``support_vectors`` yields
-BLOCK_ENTRIES = 1 << 20
+BLOCK_ENTRIES = 1 << 18
 
 
 def from_string(text: str, p: int) -> np.ndarray:
