@@ -12,10 +12,14 @@ lines, M in all; per vector x after P's last pivot, A(x) is their weight
 orthogonal to x, mu(x) their weight on x's line and D = A - p mu. c passes
 iff D summed over the p + 1 lines of span(u, c) is M, and that sum is never
 less, so a bound from the least D retires children before any of their pairs
-is tested (see ``_SiblingGroup``). Node counts are replayed over each block
-in DFS order, so verdicts, counts and witnesses are those of a leaf-by-leaf
-search. Symplectic products are float32 dot products with partner rows, exact
-because every one is an integer below 2^24.
+is tested, and only the children it leaves open get leaf candidates (see
+``_SiblingGroup``). Node counts need no candidates: the DFS carries the RREF
+basis of the vectors that pivot after a node's last row and are orthogonal to
+its rows, one rank-one update per node, and a child's leaves are counted in
+closed form from its products with that basis. The counts are replayed over
+each block in DFS order, so verdicts, counts and witnesses are those of a
+leaf-by-leaf search. The filter's symplectic products are float32 dot
+products with partner rows, exact because every one is an integer below 2^24.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +60,8 @@ class SearchQuery:
             raise ValueError("need n >= 1 and 1 <= n - k")
         if self.d_min < 1:
             raise ValueError("d_min must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,8 @@ class _VectorTable:
         # vector v sits at index v . radix
         self.radix = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
         self.inverse = np.array([0] + [fm.inv_mod(x, p) for x in range(1, p)], dtype=np.int64)
+        # <x, y>_s = x @ form @ y mod p
+        self.form = sp.syndrome_matrix(np.eye(size, dtype=np.int64), p)
         # after[j + 1] = p^(2n-1-j): the vectors with pivot (first nonzero
         # column) after j are those below it; pivot j fills [after[j + 1], after[j])
         self.after = p ** np.arange(size, -1, -1, dtype=np.int64)
@@ -132,10 +140,37 @@ class _VectorTable:
         multiple = products / self.p  # rint(x / p) * p == x exactly iff p divides x
         return products == np.multiply(np.rint(multiple, out=multiple), self.p, out=multiple)
 
+    def orthogonal_to(self, rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        """Flags: rows[i] is orthogonal to every row of chosen, from exact
+        integer products (chosen has a few rows; ``orthogonal`` serves wide
+        products)."""
+        return (rows @ (self.form @ chosen.T) % self.p == 0).all(axis=1)
+
     def monic_keys(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row's monic multiple; 0 for a zero row."""
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         return rows * self.inverse[lead][:, None] % self.p @ self.radix
+
+    def narrowed(self, basis: np.ndarray, idx: np.ndarray) -> Iterator[np.ndarray]:
+        """Under each vector i of idx, from the RREF basis basis: the RREF
+        basis of the vectors of its span that pivot after i and are orthogonal
+        to i. The vectors of the span that pivot after i are spanned by the
+        basis rows that do; the latest of those not orthogonal to i is
+        subtracted from the others until they are, which leaves it zero, and
+        is dropped. It is zero on every other pivot, so this rank-one update
+        keeps the rest in RREF. The updates are made for all of idx at once,
+        and each basis is taken out as it is asked for."""
+        p = self.p
+        after = self.first_nz[basis @ self.radix] > self.first_nz[idx][:, None]
+        products = self.vectors[idx] @ (basis @ self.form).T % p
+        # the latest row not orthogonal to i, or row 0 when every row is; the
+        # rows after i are the last ones, so it is among them if any of them is
+        last = (np.arange(len(basis)) * (products != 0)).max(axis=1, initial=0)
+        # rows orthogonal to i get a zero factor and stay as they are
+        step = products * self.inverse[products[np.arange(len(idx)), last]][:, None]
+        bases = (basis - step[:, :, None] * basis[last][:, None, :]) % p
+        keep = after & bases.any(axis=2)
+        return (rows[kept] for rows, kept in zip(bases, keep))
 
     def candidates(self, chosen: np.ndarray, pivots: List[int]) -> np.ndarray:
         """Ascending indices of the vectors that extend the RREF rows chosen
@@ -145,7 +180,7 @@ class _VectorTable:
         if len(pivots):
             # full RREF uniqueness: earlier rows are zero on the new pivot
             idx = idx[~chosen.any(axis=0)[self.first_nz[idx]]]
-            idx = idx[self.orthogonal(self.vectors[idx], chosen).all(axis=1)]
+            idx = idx[self.orthogonal_to(self.vectors[idx], chosen)]
         return idx
 
 
@@ -154,10 +189,21 @@ class _SiblingGroup:
 
     A child is an index of ``candidates(chosen)``, or index 0, the zero
     vector, standing for no child row (and then the only child). leaves is
-    ``candidates(chosen)`` or an ascending part of it. The leaves under a
-    child u are those leaves that pivot after u, are zero on u's pivot and
-    are orthogonal to u, i.e. ``candidates(chosen + u)``; the pivot condition
-    makes them a prefix of leaves.
+    all of ``candidates(chosen)``, not a part of it: the counts below count
+    all of it. The leaves under a child u are those leaves that pivot after
+    u, are zero on u's pivot and are orthogonal to u, i.e.
+    ``candidates(chosen + u)``; the pivot condition makes them a prefix of
+    leaves.
+
+    Their number comes in closed form. V is the space of vectors that pivot
+    after the last chosen row and are orthogonal to chosen, given by its RREF
+    basis b_0, ..., b_{r-1}. The leaves with pivot q_k, the pivot of b_k, are
+    b_k + L_k, with L_k the span of the rows after b_k, when chosen is zero on
+    q_k, and none otherwise. Under a child u that pivots before q_k and is
+    zero there, they add p^dim L_k when u is orthogonal to L_k and to b_k,
+    none when u is orthogonal to L_k but not to b_k, and p^(dim L_k - 1)
+    otherwise. So a child's count needs only its r products with the basis,
+    and the zero child's count is len(leaves).
 
     The filter is exact. S holds the low-weight rows orthogonal to chosen,
     reduced against it, less those inside span(chosen) (they reduce to zero).
@@ -176,30 +222,47 @@ class _SiblingGroup:
     the sum is never less. The zero child passes c iff A(c) = mu(c). With
     D_min the least D on a nonzero vector of the prefix, a child with
     D(u) + p D_min > M has no passing leaf, and a pair with
-    D(u) + D(c) + (p - 1) D_min > M fails; only the pairs left get the exact
-    sum. A is built ~BLOCK_ENTRIES entries at a time: over the prefix (as D)
-    only for nonzero children, at its leaves only for the zero child.
+    D(u) + D(c) + (p - 1) D_min > M fails; only the children left get leaf
+    candidates, and only the pairs left the exact sum. A is built
+    ~BLOCK_ENTRIES entries at a time: over the prefix (as D) only for nonzero
+    children, at its leaves only for the zero child.
     """
 
-    def __init__(self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], leaves: np.ndarray):
+    def __init__(
+        self, table: _VectorTable, chosen: np.ndarray, pivots: List[int], basis: np.ndarray, leaves: np.ndarray
+    ):
         self.table, self.leaves = table, leaves
         sel = table.low_weight
         if len(pivots) and len(sel):
-            sel = fm.reduce_rows(chosen, pivots, sel[table.orthogonal(sel, chosen).all(axis=1)], table.p)
+            sel = fm.reduce_rows(chosen, pivots, sel[table.orthogonal_to(sel, chosen)], table.p)
         keys = table.monic_keys(sel)
         keys, counts = np.unique(keys[keys != 0], return_counts=True)
         self.lines, self.weights = table.vectors[keys].astype(np.float32), counts.astype(np.float32)
         self.total = int(counts.sum())
         self.size = int(table.after[pivots[-1] + 1 if pivots else 0])
+        # the pivots q_k, the map to products with b_k, and p^dim L_k, or 0
+        # where chosen is nonzero on q_k and no leaf pivots there
+        self.classes = table.first_nz[basis @ table.radix]
+        self.dual = (basis @ table.form).T
+        sizes = table.radix[2 * table.n - len(basis) :]  # p^(r-1), ..., p, 1
+        self.class_sizes = np.where(chosen.any(axis=0)[self.classes], 0, sizes)
 
     def orthogonal_weight(self, idx: np.ndarray) -> np.ndarray:
-        """A at each vector of idx, a chunk at a time."""
-        t = self.table
+        """A at each vector of idx, a chunk at a time; every chunk reuses the
+        same two buffers, so none of them faults in fresh pages."""
+        t, p = self.table, self.table.p
         weight = np.empty(len(idx), dtype=np.float32)
         step = max(1, BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
+        partner = _partner_rows(self.lines, p).T
+        buffers = np.empty((2, min(step, len(idx)), len(self.lines)), dtype=np.float32)
         for start in range(0, len(idx), step):
-            flags = t.orthogonal(self.lines, t.vectors[idx[start : start + step]])
-            weight[start : start + step] = self.weights @ flags  # exact: integers below 2^22
+            x = t.vectors[idx[start : start + step]]
+            products, multiple = buffers[:, : len(x)]
+            np.matmul(x, partner, out=products)
+            np.rint(np.divide(products, p, out=multiple), out=multiple)
+            # 1.0 where p divides the product: x is orthogonal to the line
+            np.equal(products, np.multiply(multiple, p, out=multiple), out=products)
+            weight[start : start + len(x)] = products @ self.weights  # exact: integers below 2^22
         return weight.astype(np.int64)
 
     def line_weight(self) -> np.ndarray:
@@ -235,6 +298,17 @@ class _SiblingGroup:
             start += count
         return blocks
 
+    def leaf_counts(self, kids: np.ndarray) -> np.ndarray:
+        """How many leaves sit under each child, in closed form."""
+        t, sizes = self.table, self.class_sizes
+        u = t.vectors[kids]
+        products = u @ self.dual % t.p
+        # free[j, k]: kids[j] pivots before classes[k] and is zero there
+        free = (self.classes > t.first_nz[kids][:, None]) & (u[:, self.classes] == 0)
+        # flat[j, k]: kids[j] is orthogonal to L_k, the basis rows after row k
+        flat = np.cumsum(products[:, ::-1], axis=1)[:, ::-1] == products
+        return (free * np.where(flat, (products == 0) * sizes, sizes // t.p)).sum(axis=1)
+
     def leaf_candidates(self, kids: np.ndarray) -> np.ndarray:
         """cand[j, c]: leaves[c] is a leaf under kids[j], over the leaves
         that pivot after some child."""
@@ -250,23 +324,25 @@ class _SiblingGroup:
             cand[:, start : start + len(cols)] = free[:, t.first_nz[cols]] & t.orthogonal(u, t.vectors[cols])
         return cand
 
-    def survivors(self, kids: np.ndarray, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The leaf candidates cand of kids that pass the distance filter, as
-        (child position, leaf position) pairs ordered by child, then leaf."""
+    def survivors(self, kids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The leaves of kids that pass the distance filter, as (child
+        position, leaf position) pairs ordered by child, then leaf."""
         t, p = self.table, self.table.p
-        leaves = self.leaves[: cand.shape[1]]
-        if not kids.any():  # the zero child alone, or no child
-            at = np.flatnonzero(cand.any(axis=0))
-            ok = self.orthogonal_weight(leaves[at]) == self.line_weight()[leaves[at]]
-            return np.zeros(int(ok.sum()), dtype=np.int64), at[ok]
+        if not kids.any():  # the zero child alone, with every leaf under it, or no child
+            leaves = self.leaves if len(kids) else self.leaves[:0]
+            ok = self.orthogonal_weight(leaves) == self.line_weight()[leaves]
+            return np.zeros(int(ok.sum()), dtype=np.int64), np.flatnonzero(ok)
         excess, least = self.excess
-        kid_excess, leaf_excess = excess[kids], excess[leaves]
         # the bound on sum_L D(L) leaves room for D(c); a child with no room for D_min is retired
-        room = self.total - (p - 1) * least - kid_excess
+        room = self.total - (p - 1) * least - excess[kids]
         live = np.flatnonzero(room >= least)
-        j, c = np.nonzero(cand[live] & (leaf_excess <= room[live, None]))
+        if not len(live):
+            return live, live
+        cand = self.leaf_candidates(kids[live])
+        leaves = self.leaves[: cand.shape[1]]
+        j, c = np.nonzero(cand & (excess[leaves] <= room[live, None]))
         j = live[j]
-        line_sums = kid_excess[j] + leaf_excess[c]
+        line_sums = excess[kids[j]] + excess[leaves[c]]
         step = max(1, BLOCK_ENTRIES // (2 * t.n))
         for start in range(0, len(j), step):
             u = t.vectors[kids[j[start : start + step]]].astype(np.int64)
@@ -316,17 +392,16 @@ def search_codes(q: SearchQuery) -> SearchResult:
             return None
         return code
 
-    def last_levels(chosen: np.ndarray, pivots: List[int], kids: np.ndarray, leaves: np.ndarray):
-        group = _SiblingGroup(table, chosen, pivots, leaves)
+    def last_levels(chosen: np.ndarray, pivots: List[int], basis: np.ndarray, kids: np.ndarray, leaves: np.ndarray):
+        group = _SiblingGroup(table, chosen, pivots, basis, leaves)
         for block in group.blocks(kids):
             block = kids[block]
-            cand = group.leaf_candidates(block)
             # each child costs a node (the zero row stands for none), then its leaves do
-            spent = np.column_stack([block != 0, cand.sum(axis=1)]).ravel()
+            spent = np.column_stack([block != 0, group.leaf_counts(block)]).ravel()
             total = budget.nodes + np.cumsum(spent)
             # the first spend past the cap ends the search; children before it are checked
             stop = int(np.searchsorted(total, budget.cap, side="right"))
-            kid_pos, leaf_pos = group.survivors(block[: stop // 2], cand[: stop // 2])
+            kid_pos, leaf_pos = group.survivors(block[: stop // 2])
             for j in sorted(set(kid_pos.tolist())):
                 head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
                 for i in leaves[leaf_pos[kid_pos == j]]:
@@ -340,16 +415,16 @@ def search_codes(q: SearchQuery) -> SearchResult:
             budget.nodes = int(total[-1])
         return None
 
-    def dfs(chosen: np.ndarray, pivots: List[int]) -> Optional[Tuple[str, ...]]:
+    def dfs(chosen: np.ndarray, pivots: List[int], basis: np.ndarray) -> Optional[Tuple[str, ...]]:
         idx = table.candidates(chosen, pivots)
         if len(pivots) == m - 1:  # m = 1: the root's leaves, under no child row
-            return last_levels(chosen, pivots, np.zeros(1, dtype=np.int64), idx)
+            return last_levels(chosen, pivots, basis, np.zeros(1, dtype=np.int64), idx)
         if len(pivots) == m - 2:
-            return last_levels(chosen, pivots, idx, idx)
-        for i in idx:
+            return last_levels(chosen, pivots, basis, idx, idx)
+        for i, below in zip(idx, table.narrowed(basis, idx)):
             if not budget.spend(1):
                 return None
-            witness = dfs(np.vstack([chosen, vectors[i]]), pivots + [int(first_nz[i])])
+            witness = dfs(np.vstack([chosen, vectors[i]]), pivots + [int(first_nz[i])], below)
             if witness is not None:
                 return witness
             if budget.exhausted:
@@ -357,7 +432,7 @@ def search_codes(q: SearchQuery) -> SearchResult:
         return None
 
     try:
-        witness = dfs(np.zeros((0, 2 * n), dtype=np.int64), [])
+        witness = dfs(np.zeros((0, 2 * n), dtype=np.int64), [], np.eye(2 * n, dtype=np.int64))
     finally:
         # dfs holds itself through its closure; unbinding it breaks that cycle,
         # so the vector table is freed now instead of at a later gc pass

@@ -97,6 +97,14 @@ def test_query_validation():
         SearchQuery(2, 3, 1, 0)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_query_refuses_a_budget_below_one(budget):
+    # as ``search --budget`` does; such a query used to end inconclusive at one node
+    with pytest.raises(ValueError, match="budget"):
+        SearchQuery(2, 5, 3, 2, budget=budget)
+    assert SearchQuery(2, 5, 3, 2, budget=1).budget == 1
+
+
 def test_trivial_distance_one_exists():
     q = SearchQuery(2, 2, 1, 1)
     result = search_codes(q)
@@ -174,6 +182,16 @@ def test_matches_reference_search_under_budget():
         assert search_codes(q) == reference_search(q)
 
 
+@pytest.mark.parametrize("params", [(2, 2, 1, 1), (2, 3, 2, 1), (3, 2, 1, 1), (2, 4, 3, 2)])
+def test_budget_runs_out_on_the_leaves_of_an_n_minus_k_1_search(params):
+    # the root's leaves cost one spend; a budget below it checks none of them,
+    # even where a witness sits among them
+    found = search_codes(SearchQuery(*params))
+    for budget in (1, found.nodes - 1, found.nodes):
+        q = SearchQuery(*params, budget=budget)
+        assert search_codes(q) == reference_search(q), budget
+
+
 @pytest.mark.parametrize("params", [(3, 3, 1, 2), (2, 4, 2, 2)])
 def test_budget_runs_out_inside_sibling_groups(params):
     # the witness's node count less one runs out on the leaves of its own child
@@ -191,6 +209,40 @@ def test_certificate_node_counts(params, nodes):
     assert search_codes(SearchQuery(*params)) == SearchResult("not_exists", nodes)
 
 
+def first_total_past(spends, budget):
+    """The running total of spends at the first spend that takes it past budget."""
+    total = 0
+    for spend in spends:
+        total += spend
+        if total > budget:
+            return total
+    raise AssertionError("the budget is never passed")
+
+
+@pytest.mark.parametrize("params", [(3, 4, 2, 3), (2, 5, 3, 2)])
+def test_budget_runs_out_inside_root_blocks(params):
+    # n - k = 2: the root is the only sibling group. Its children are costed
+    # a block at a time, and at the [[4,2,3]]_3 root the bound retires every
+    # one of them; budgets that run out on a child, or on its leaves, in the
+    # middle of a block end there
+    p, n, _, d_min = params
+    table = search._VectorTable(p, n, d_min)
+    root = np.zeros((0, 2 * n), dtype=np.int64)
+    kids = table.candidates(root, [])
+    spends = []
+    for u in kids:  # the child's node, then one per leaf under it
+        spends += [1, len(table.candidates(table.vectors[[u]].astype(np.int64), [int(table.first_nz[u])]))]
+    prefix = np.cumsum(spends)
+    blocks = sibling_group(table, root, []).blocks(kids)
+    assert len(blocks) > 1
+    for block in blocks[:3]:
+        # the first child past the middle of the block with leaves under it
+        j = next(j for j in range((block.start + block.stop) // 2, block.stop - 1) if spends[2 * j + 1] > 1)
+        for budget in [prefix[2 * j] - 1, prefix[2 * j], prefix[2 * j] + spends[2 * j + 1] // 2]:
+            expected = first_total_past(spends, budget)
+            assert search_codes(SearchQuery(*params, budget=int(budget))) == SearchResult("inconclusive", expected)
+
+
 def test_leaf_filter_in_blocks_of_one_candidate(monkeypatch):
     monkeypatch.setattr(search, "BLOCK_ENTRIES", 1)
     for params in [(2, 4, 3, 2), (2, 3, 1, 2), (3, 3, 1, 2)]:
@@ -204,13 +256,36 @@ def test_float32_products_refused_when_inexact():
         search._partner_rows(np.zeros((1, 270), dtype=np.int64), 251)
 
 
-def leaf_survivors(table, idx, chosen, pivots):
-    """Per candidate c of the ascending idx: chosen + c has distance >= d_min.
-    The sibling-group filter on the one child that adds no row."""
-    group = search._SiblingGroup(table, chosen, pivots, idx)
-    no_row = np.zeros(1, dtype=np.int64)
-    ok = np.zeros(len(idx), dtype=bool)
-    ok[group.survivors(no_row, group.leaf_candidates(no_row))[1]] = True
+def carried_basis(table, chosen):
+    """The basis ``search_codes`` carries down to the node of the RREF rows
+    chosen: the identity, narrowed by each row in turn."""
+    basis = np.eye(2 * table.n, dtype=np.int64)
+    for row in chosen:
+        (basis,) = table.narrowed(basis, np.array([row @ table.radix]))
+    return basis
+
+
+def kernel_basis(table, chosen, pivots):
+    """The RREF basis, from ``fm.kernel``, of the vectors zero up to the last
+    chosen pivot and orthogonal to every chosen row."""
+    last = pivots[-1] if len(pivots) else -1
+    constraints = np.vstack([np.eye(2 * table.n, dtype=np.int64)[: last + 1], sp.syndrome_matrix(chosen, table.p)])
+    return fm.kernel(constraints, table.p)
+
+
+def sibling_group(table, chosen, pivots):
+    """The sibling group under the RREF rows chosen, with every candidate as a
+    leaf and the basis ``search_codes`` would carry there."""
+    leaves = table.candidates(chosen, pivots)
+    return search._SiblingGroup(table, chosen, pivots, carried_basis(table, chosen), leaves)
+
+
+def leaf_survivors(table, chosen, pivots):
+    """Per candidate c after the RREF rows chosen: chosen + c has distance
+    >= d_min. The sibling-group filter on the one child that adds no row."""
+    group = sibling_group(table, chosen, pivots)
+    ok = np.zeros(len(group.leaves), dtype=bool)
+    ok[group.survivors(np.zeros(1, dtype=np.int64))[1]] = True
     return ok
 
 
@@ -222,10 +297,10 @@ def check_leaf_filter(p, n, chosen_rows, d_min, limit=None):
         basis, pivots = fm.rref(np.vstack(chosen_rows), p)
         chosen = basis[: len(pivots)]
     table = search._VectorTable(p, n, d_min)
-    idx = table.candidates(chosen, pivots)
+    idx, ok = table.candidates(chosen, pivots), leaf_survivors(table, chosen, pivots)
     if limit is not None:
-        idx = idx[:: max(1, len(idx) // limit)]
-    ok = leaf_survivors(table, idx, chosen, pivots)
+        stride = max(1, len(idx) // limit)
+        idx, ok = idx[::stride], ok[::stride]
     for i, passed in zip(idx, ok):
         code = StabilizerCode(p, n, list(chosen) + [table.vectors[i]])
         assert passed == (code.distance is not None and code.distance >= d_min), table.vectors[i]
@@ -250,12 +325,10 @@ def test_leaf_filter_keeps_impure_codes(p, chosen, leaf):
 def passing_leaves(table, parent, pivots, kid_row):
     """The leaves under the child kid_row of the RREF rows parent that pass
     the sibling-group filter."""
-    leaves = table.candidates(parent, pivots)
-    group = search._SiblingGroup(table, parent, pivots, leaves)
-    kid = np.array([kid_row @ table.radix])
-    kid_pos, leaf_pos = group.survivors(kid, group.leaf_candidates(kid))
+    group = sibling_group(table, parent, pivots)
+    kid_pos, leaf_pos = group.survivors(np.array([kid_row @ table.radix]))
     assert not kid_pos.any()
-    return [sp.to_string(table.vectors[i]) for i in leaves[leaf_pos]]
+    return [sp.to_string(table.vectors[i]) for i in group.leaves[leaf_pos]]
 
 
 @pytest.mark.parametrize("p, chosen, leaf", IMPURE_CODES)
@@ -319,7 +392,7 @@ def filtered_blocks(group, kids):
     ``search_codes``."""
     for block in group.blocks(kids):
         cand = group.leaf_candidates(kids[block])
-        pairs = group.survivors(kids[block], cand)
+        pairs = group.survivors(kids[block])
         ok = np.zeros_like(cand)
         ok[pairs] = True
         yield kids[block], cand, pairs, ok
@@ -376,8 +449,8 @@ def check_per_vector(table, chosen, pivots, kids):
     with ``per_vector_filter``: the same candidates and the same survivor
     pairs in the same order; the group's tables, built in those blocks, are
     compared with ``per_vector_tables``."""
-    leaves = table.candidates(chosen, pivots)
-    group = search._SiblingGroup(table, chosen, pivots, leaves)
+    group = sibling_group(table, chosen, pivots)
+    leaves = group.leaves
     blocks = list(filtered_blocks(group, kids))
     check_tables(group, chosen, kids)
     survived = 0
@@ -427,13 +500,13 @@ def test_leaf_filter_matches_per_vector_reference_on_wide_groups(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(sibling_groups())
-def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group):
-    p, n, d_min, chosen, pivots, kids, block_entries = group
+def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, case):
+    p, n, d_min, chosen, pivots, kids, block_entries = case
     monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
     table = search._VectorTable(p, n, d_min)
-    leaves = table.candidates(chosen, pivots)
-    sibling_group = search._SiblingGroup(table, chosen, pivots, leaves)
-    blocks = list(filtered_blocks(sibling_group, kids))
+    group = sibling_group(table, chosen, pivots)
+    leaves = group.leaves
+    blocks = list(filtered_blocks(group, kids))
     assert [int(kid) for block, *_ in blocks for kid in block] == kids.tolist()
     for block, cand, _, ok in blocks:
         assert not (ok & ~cand).any()
@@ -445,6 +518,71 @@ def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, group)
             for col in cols[:: max(1, len(cols) // 6)]:
                 code = StabilizerCode(p, n, list(rows) + [table.vectors[leaves[col]]])
                 assert kid_ok[col] == (code.distance >= d_min), table.vectors[leaves[col]]
+
+
+@st.composite
+def counted_groups(draw):
+    """A node of up to n - 1 rows over p in {2, 3, 5}, each drawn among the
+    DFS candidates after the previous ones; the zero child and up to 40 of
+    the node's children, in random order."""
+    p = draw(st.sampled_from(sorted(GROUP_MAX_N)))
+    n = draw(st.integers(1, GROUP_MAX_N[p]))
+    table = search._VectorTable(p, n, draw(st.integers(1, 2)))
+    chosen, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
+    for _ in range(draw(st.integers(0, n - 1))):
+        idx = table.candidates(chosen, pivots)
+        if len(idx) == 0:
+            break
+        i = idx[draw(st.integers(0, len(idx) - 1))]
+        chosen = np.vstack([chosen, table.vectors[i]])
+        pivots.append(int(table.first_nz[i]))
+    idx = table.candidates(chosen, pivots).tolist()
+    kids = draw(st.lists(st.sampled_from(idx), max_size=40, unique=True)) if idx else []
+    return table, chosen, pivots, np.array([0, *kids], dtype=np.int64)
+
+
+def check_leaf_counts(table, chosen, pivots, kids):
+    """The carried basis is the RREF basis from ``fm.kernel``; the closed-form
+    count of every child is its row of leaf candidates and the number of
+    ``candidates(chosen + u)``; the zero child's count is every leaf."""
+    basis = carried_basis(table, chosen)
+    assert basis.tolist() == kernel_basis(table, chosen, pivots).tolist()
+    group = sibling_group(table, chosen, pivots)
+    counts = group.leaf_counts(kids)
+    assert counts.tolist() == group.leaf_candidates(kids).sum(axis=1).tolist()
+    for u, count in zip(kids, counts):
+        rows, below = (np.vstack([chosen, table.vectors[u]]), pivots + [int(table.first_nz[u])]) if u else (chosen, pivots)
+        assert count == len(table.candidates(rows, below)), u
+    assert counts[kids == 0].tolist() == [len(group.leaves)] * int((kids == 0).sum())
+    return group
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(counted_groups())
+def test_leaf_counts_in_closed_form(case):
+    check_leaf_counts(*case)
+
+
+#: DFS nodes whose rows are nonzero on a pivot column of the space V after
+#: them, so that no leaf pivots there: (p, RREF rows)
+CLOSED_CLASS_NODES = [
+    # V: x_0 = 0 and x_1 = x_3, with pivots 1, 2, 4 and 5; the row is nonzero on 4
+    (2, ["100|010"]),
+    (3, ["1020|0100", "0100|2010"]),
+    (5, ["13|41"]),
+]
+
+
+@pytest.mark.parametrize("p, rows", CLOSED_CLASS_NODES)
+def test_leaf_counts_skip_pivots_no_leaf_has(p, rows):
+    n = len(rows[0]) // 2
+    basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in rows]), p)
+    chosen = basis[: len(pivots)]
+    table = search._VectorTable(p, n, 1)
+    classes = np.argmax(kernel_basis(table, chosen, pivots) != 0, axis=1)
+    assert chosen[:, classes].any()
+    kids = np.concatenate([[0], table.candidates(chosen, pivots)])
+    check_leaf_counts(table, chosen, pivots, kids)
 
 
 def per_vector_s(table, chosen):
@@ -507,9 +645,7 @@ def group_under(p, n, d_min, chosen_rows):
     if chosen_rows:
         basis, pivots = fm.rref(np.array([sp.from_string(g, p) for g in chosen_rows]), p)
         chosen = basis[: len(pivots)]
-    table = search._VectorTable(p, n, d_min)
-    leaves = table.candidates(chosen, pivots)
-    return search._SiblingGroup(table, chosen, pivots, leaves), chosen
+    return sibling_group(search._VectorTable(p, n, d_min), chosen, pivots), chosen
 
 
 def per_vector_tables(table, chosen, idx):
@@ -596,8 +732,7 @@ def check_line_sums(group, chosen, kids):
 def test_line_sums_of_excess_decide_every_pair(monkeypatch, case):
     p, n, d_min, chosen, pivots, kids, block_entries = case
     monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
-    table = search._VectorTable(p, n, d_min)
-    group = search._SiblingGroup(table, chosen, pivots, table.candidates(chosen, pivots))
+    group = sibling_group(search._VectorTable(p, n, d_min), chosen, pivots)
     check_line_sums(group, chosen, kids)
     check_tables(group, chosen, kids)
 
@@ -627,7 +762,7 @@ def test_bound_at_the_certificate_roots(p, n, d_min, total, least, live):
     open_kids = [int((excess[kids[b]] + p * least <= total).sum()) for b in group.blocks(kids)]
     assert open_kids == live if live else not any(open_kids)
     for block in group.blocks(kids):
-        assert not len(group.survivors(kids[block], group.leaf_candidates(kids[block]))[0])
+        assert not len(group.survivors(kids[block])[0])
 
 
 def check_sibling_group(p, n, d_min, chosen_rows, samples):
@@ -674,8 +809,7 @@ def test_zero_child_compares_a_with_mu():
     leaves = group.leaves
     a, mu = group.orthogonal_weight(leaves), group.line_weight()[leaves]
     assert mu.max() > 0 and (a >= mu).all()
-    no_row = np.zeros(1, dtype=np.int64)
-    kid_pos, leaf_pos = group.survivors(no_row, group.leaf_candidates(no_row))
+    kid_pos, leaf_pos = group.survivors(np.zeros(1, dtype=np.int64))
     assert not kid_pos.any() and leaf_pos.tolist() == np.flatnonzero(a == mu).tolist()
     assert "excess" not in vars(group)
     assert check_leaf_filter(3, 2, [], 2) == []
@@ -714,8 +848,7 @@ def test_zero_child_filter_stays_in_blocks():
         tracemalloc.stop()
     group, _ = group_under(2, 8, 3, [])
     assert peak < len(group.lines) * len(group.leaves) // 2
-    no_row = np.zeros(1, dtype=np.int64)
-    assert not len(group.survivors(no_row, group.leaf_candidates(no_row))[0])
+    assert not len(group.survivors(np.zeros(1, dtype=np.int64))[0])
     assert "excess" not in vars(group)
 
 
@@ -729,7 +862,7 @@ def test_exact_sums_take_open_pairs_in_several_steps(p, n, d_min, pair_step, mon
     kids = group.leaves
     cand = group.leaf_candidates(kids)
     monkeypatch.setattr(search, "BLOCK_ENTRIES", 2 * n * pair_step)
-    kid_pos, leaf_pos = group.survivors(kids, cand)
+    kid_pos, leaf_pos = group.survivors(kids)
     ref_cand, ref_ok = per_vector_filter(group.table, chosen, group.leaves, kids)
     assert np.array_equal(cand, ref_cand[:, : cand.shape[1]]) and not ref_cand[:, cand.shape[1] :].any()
     ref_j, ref_c = np.nonzero(ref_ok)
