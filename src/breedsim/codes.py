@@ -14,8 +14,9 @@ y one of the p^(2e) contents on E, z the lex-smallest row of the lowest class
 with the key of s - syn(y) that misses E. A decode call joins every
 (erased set, syndrome) pair its rows lack against the classes at once, and
 the leaders sit in one cache sorted by pair. Each scan counts the class
-vectors it would generate, and the decoder each erased set's contents, and
-raises FeasibilityError before generating past ENUM_CAP.
+vectors it would generate, and the decoder the contents of a call's largest
+erased set (``check_decoder_work``), and raises FeasibilityError before
+generating past ENUM_CAP.
 """
 
 from __future__ import annotations
@@ -86,10 +87,9 @@ class StabilizerCode:
         self.n = n
         self.stab = stab
         self.k = n - stab.dim
-        # the decoder: the live-weight classes built so far and the vectors
-        # they hold; the leader cache, sorted by (erased set, syndrome) pair key
+        # the decoder: the live-weight classes built so far; the leader
+        # cache, sorted by (erased set, syndrome) pair key
         self._classes: list = []
-        self._generated = 0
         self._cache_keys = self._pair_keys(np.zeros((0, n), dtype=bool), np.zeros((0, stab.dim), dtype=np.int64))
         self._leaders = np.empty((0, 2 * n), dtype=np.uint8)
 
@@ -222,12 +222,7 @@ class StabilizerCode:
         p, n = self.p, self.n
         while len(self._classes) <= w:
             v = len(self._classes)
-            generated = self._generated + comb(n, v) * (p * p - 1) ** v
-            if generated > ENUM_CAP:
-                raise FeasibilityError(
-                    f"decoding enumerates {generated} weight-class vectors through weight {v}, "
-                    f"over cap {ENUM_CAP}"
-                )
+            check_decoder_work(n, p, v, 0)
             parts = [
                 (
                     fm.mat_mod(block, self._syndrome_check, p) @ self._syndrome_radix,
@@ -239,7 +234,6 @@ class StabilizerCode:
             keys, words, bits = (np.concatenate(part) for part in zip(*parts))
             order = np.lexsort((*words.T[::-1], keys))
             self._classes.append((keys[order], words[order], bits[order]))
-            self._generated = generated
         return self._classes[w]
 
     def _decode_by_coset(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> None:
@@ -248,21 +242,18 @@ class StabilizerCode:
 
         The distinct pairs are led by erased-set size e, in groups of whole
         erased sets whose p^(2e) contents fit BUILD_ENTRIES (a larger set
-        alone), and join the cache in one merge. A set's p^(2e) contents are
-        counted before any is generated, and refused above ENUM_CAP.
+        alone), and join the cache in one merge. The largest set's p^(2e)
+        contents are counted before any set is joined, and refused above
+        ENUM_CAP.
         """
         order = np.argsort(keys, kind="stable")
         order = order[_firsts(keys[order])]
         keys, mask, rows = keys[order], mask[order], rows[order]
         words = np.empty((len(keys), self._lex_words.shape[1]), dtype=np.int64)
         sizes = np.count_nonzero(mask, axis=1)
+        check_decoder_work(self.n, self.p, 0, int(sizes.max()))
         for e in sorted(set(sizes.tolist())):
             contents = (self.p * self.p) ** e
-            if contents > ENUM_CAP:
-                raise FeasibilityError(
-                    f"decoding with {e} erased positions enumerates {contents} weight-class "
-                    f"vectors on them, over cap {ENUM_CAP}"
-                )
             pending = np.flatnonzero(sizes == e)
             starts = np.flatnonzero(_firsts(mask[pending]))
             per_group = max(1, self._chunk_rows // contents)
@@ -377,6 +368,24 @@ class StabilizerCode:
 
     def __repr__(self):
         return f"StabilizerCode(p={self.p}, n={self.n}, k={self.k})"
+
+
+def check_decoder_work(n: int, p: int, weight: int, erased: int) -> None:
+    """Refuse (FeasibilityError) a decode of a length-n code over F_p that
+    needs its weight classes 0..weight, sum over v of C(n, v) (p^2 - 1)^v
+    vectors, or an erased set of ``erased`` positions, p^(2 erased)
+    contents, when either count passes ENUM_CAP."""
+    classes = sum(comb(n, v) * (p * p - 1) ** v for v in range(weight + 1))
+    if classes > ENUM_CAP:
+        raise FeasibilityError(
+            f"decoding enumerates {classes} weight-class vectors through weight {weight}, "
+            f"over cap {ENUM_CAP}"
+        )
+    if (p * p) ** erased > ENUM_CAP:
+        raise FeasibilityError(
+            f"decoding with {erased} erased positions enumerates {(p * p) ** erased} weight-class "
+            f"vectors on them, over cap {ENUM_CAP}"
+        )
 
 
 def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[int, ...]) -> np.ndarray:

@@ -7,13 +7,16 @@ erasure knowledge), and ask whether the residual lies in the stabilizer.
 
 ``run_protocol`` is the one kernel for that step. It takes one error vector
 or a batch of rows, each row with its own erased set (or one set for all);
-guarantee verification, Monte Carlo simulation and the exact oracle all run
-their rows through it, one call per block of rows. Verification joins the
-patterns of every (e, t) into those blocks, and the oracle joins the rows of
-its erased subsets into them the same way. Monte Carlo sends only the trials
-that carry an error or an erasure: a trial with neither decodes to the zero
-leader and is a success that every post-selection mode keeps, so it is
-counted without a row.
+guarantee verification and Monte Carlo simulation run their rows through it,
+one call per block of rows. Verification joins the patterns of every (e, t)
+into those blocks. Monte Carlo sends only the trials that carry an error or
+an erasure: a trial with neither decodes to the zero leader and is a success
+that every post-selection mode keeps, so it is counted without a row.
+
+The exact oracle builds no error row: one ``decode`` call gives the leader of
+every (erased subset, syndrome) pair, it sums the channel over each leader's
+coset of the stabilizer, and it builds each syndrome's probability one noisy
+pair at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from typing import FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
+from . import codes
 from . import symplectic as sp
 from .breeding import BreedingProtocolSpec
-from .codes import ENUM_CAP, FeasibilityError, LogicalClass, erasure_mask
+from .codes import FeasibilityError, LogicalClass, erasure_mask
 
 #: trials per deterministic chunk; fixed so worker count cannot change results
 CHUNK = 10_000
@@ -255,9 +259,10 @@ def verify_guarantee(
     Enumerates every erased subset of noisy positions of size e with every
     nonzero content on the erased pairs, times every weight-t error on the
     remaining noisy positions. Refuses before enumerating when the pattern
-    count exceeds max_patterns, or when the weight classes the decoder would
-    generate exceed ENUM_CAP: per erased set of size e, live weights up to the
-    largest t with 2t + e < d, with all p^(2e) contents on the erased set.
+    count exceeds max_patterns, or when the decoder would pass ENUM_CAP
+    (``codes.check_decoder_work``): a pattern's leader has live weight at most
+    its t, so the decoder builds the weight classes through the largest t,
+    and the largest erased set carries the most contents.
     """
     d = spec.params.d
     if d is None:
@@ -269,24 +274,12 @@ def verify_guarantee(
     # error weights t with 2t + e < d per erased-set size e; at most m pairs can
     # be erased, and at most m - e of the rest can carry an error
     weights = {e: range(min((d - e - 1) // 2, m - e) + 1) for e in range(min(d, m + 1))}
-    total = sum(
-        comb(m, e) * comb(m - e, t) * (q - 1) ** (e + t) for e, ts in weights.items() for t in ts
-    )
+    total = sum(comb(m, e) * comb(m - e, t) * (q - 1) ** (e + t) for e, ts in weights.items() for t in ts)
     if total > max_patterns:
-        raise FeasibilityError(
-            f"guarantee verification needs {total} patterns, over cap {max_patterns}"
-        )
-    # a pattern's leader has live weight at most its t, so the decoder stops
-    # by the class of the largest t for its erased set
-    work = sum(
-        comb(m, e) * comb(n - e, w) * (q - 1) ** w * q**e
-        for e, ts in weights.items()
-        for w in ts
-    )
-    if work > ENUM_CAP:
-        raise FeasibilityError(
-            f"guarantee verification enumerates {work} weight-class vectors, over cap {ENUM_CAP}"
-        )
+        raise FeasibilityError(f"guarantee verification needs {total} patterns, over cap {max_patterns}")
+    if weights:
+        # t is largest with nothing erased
+        codes.check_decoder_work(n, code.p, weights[0][-1], max(weights))
 
     # a kernel call takes the next max_rows patterns, across (e, t)
     max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n))
@@ -402,7 +395,8 @@ def simulate(
         # one-worker run would pay for at every start
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all of its workers up front, needed or not
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_simulate_chunk, chunks))
     else:
         results = [_simulate_chunk(c) for c in chunks]
@@ -418,80 +412,83 @@ def exact_fidelity(
     channel: Channel,
     postselect: PostSelect = KEEP_ALL,
 ) -> ExactFidelity:
-    """Exact success probability by summing the channel over all error vectors.
+    """Exact success probability (and acceptance) from coset leaders and
+    stabilizer elements; no error row is built.
 
-    Sums the q^m error rows on the noisy pairs (q = p^2, m noisy pairs;
-    ``sp.support_vectors`` with all m pairs free) for every erased subset of
-    nonzero probability (2^m of them when 0 < erasure < 1, else one), and
-    refuses before the first kernel call when that exceeds ENUM_CAP, or when
-    the channel's field is not the code's. The rows are never stacked: they
-    are generated block by block, each block paired with every subset's
-    erasure mask in turn, and reach the kernel in blocks of
-    sp.BLOCK_ENTRIES // (2n) rows, as ``verify_guarantee``'s patterns do.
-    Only each row's success and acceptance flags are kept, and which of its
-    noisy pairs carry an error; each subset's probabilities are summed on
-    their own, in subset order.
+    Per erased subset E of the noisy pairs of nonzero probability (2^m of
+    them when 0 < erasure < 1, else one), one ``decode`` call over every
+    (E, s) pair gives the leader l of each of the p^l syndromes s
+    (l = dim C). An error with syndrome s succeeds iff it lies in l + C, so
+    the success mass of (E, s) sums the channel over l + x for the p^l
+    stabilizer elements x = uG: zero unless l + x is zero on the ebits, else
+    q^-|E| (r / (q - 1))^w (1 - r)^(L - w), w its weight on the L = m - |E|
+    live noisy pairs. Acceptance sums P(s | E) over the kept pairs, built one
+    noisy pair at a time, each shifting the syndrome by that of its own
+    value. Both are sums of nonnegative terms, so a small acceptance keeps
+    its relative precision. Refuses before decoding when the p^(2l)
+    (leader, stabilizer) terms times the subsets exceed ``codes.ENUM_CAP``,
+    or when the channel's field is not the code's; the decoder refuses a
+    subset with more than ENUM_CAP contents before it joins any.
     """
     code = spec.extended_code
-    p = code.p
+    p, n, dim = code.p, code.n, code.stab.dim
     if channel.p != p:
         raise ValueError("channel field size does not match the code")
-    noisy = list(spec.noisy_positions)
-    m = len(noisy)
-    q = p * p
-    er = channel.erasure
-    count = 2**m if 0.0 < er < 1.0 else 1
-    if q**m * count > ENUM_CAP:
+    noisy = np.asarray(spec.noisy_positions, dtype=np.int64)
+    m, q = len(noisy), p * p
+    rate, er = channel.depolarizing, channel.erasure
+    sizes = [e for e in range(m + 1) if er**e * (1.0 - er) ** (m - e) != 0.0]
+    count = sum(comb(m, e) for e in sizes)
+    if p ** (2 * dim) * count > codes.ENUM_CAP:
         raise FeasibilityError(
-            f"exact sum needs {q}^{m} terms times {count} erased subsets, over cap {ENUM_CAP}"
+            f"exact sum needs {p}^{2 * dim} leader-stabilizer terms times {count} erased subsets, "
+            f"over cap {codes.ENUM_CAP}"
         )
-    n_total = code.n
-    pos = np.asarray(noisy, dtype=np.int64)
-    subsets = []
-    for e in range(m + 1):
-        subset_prob = er**e * (1.0 - er) ** (m - e)
-        if subset_prob != 0.0:
-            subsets += [(list(local), subset_prob) for local in itertools.combinations(range(m), e)]
-    masks = np.zeros((len(subsets), n_total), dtype=bool)
-    for j, (local, _) in enumerate(subsets):
-        masks[j, pos[local]] = True
-
-    hit = []
-
-    def blocks():
-        # each block of the q^m rows is generated once and meets every subset
-        for rows in sp.support_vectors(n_total, p, [noisy], free=m):
-            hit.append((rows[:, pos] != 0) | (rows[:, n_total + pos] != 0))
-            for mask in masks:
-                yield rows, np.broadcast_to(mask, (len(rows), n_total))
-
-    max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n_total))
-    accept, good = [], []
-    for rows, row_masks in _regroup(blocks(), max_rows):
-        outcome = run_protocol(spec, ErrorPattern(rows, row_masks), postselect)
-        accept.append(~outcome.discarded)
-        good.append(outcome.success & accept[-1])
-    # the flags as (subset, row): each block's flags are (subset, row in block)
-    bounds = np.cumsum([len(part) for part in hit])[:-1] * len(subsets)
-    accept, good = (
-        np.concatenate([part.reshape(len(subsets), -1) for part in np.split(np.concatenate(flags), bounds)], axis=1)
-        for flags in (accept, good)
-    )
-    # which noisy pairs of each row carry an error, as flags: a float table of
-    # the q^m rows would take eight times the memory
-    hit = np.concatenate(hit)
-    rate, size = channel.depolarizing, len(hit)
-    total_good = total_accept = 0.0
-    for j, (local, subset_prob) in enumerate(subsets):
-        live = ~masks[j, pos]
-        # each row's product over its live pairs, taken max_rows rows at a time
-        depol = np.concatenate([
-            np.where(hit[start : start + max_rows, live], rate / (q - 1), 1.0 - rate).prod(axis=1)
-            for start in range(0, size, max_rows)
-        ])
-        prob = depol * (1.0 / q) ** len(local) * subset_prob
-        total_accept += float(prob[accept[j]].sum())
-        total_good += float(prob[good[j]].sum())
+    erased = np.zeros((count, n), dtype=bool)
+    for j, subset in enumerate(s for e in sizes for s in itertools.combinations(noisy, e)):
+        erased[j, list(subset)] = True
+    is_noisy = np.isin(np.arange(n), noisy)
+    live = is_noisy & ~erased
+    size = np.count_nonzero(erased, axis=1)[:, None]
+    subset_prob = er**size * (1.0 - er) ** (m - size)
+    # prob[j, w]: subset j and one error of weight w on its m - |E| live
+    # pairs; no entry past m - |E| is read
+    w = np.arange(m + 1)
+    prob = subset_prob / q**size * (rate / (q - 1)) ** w * (1.0 - rate) ** np.maximum(m - size - w, 0)
+    # F_p^dim in key order: the syndromes, and the coefficients of the stabilizer elements
+    radix = p ** np.arange(dim - 1, -1, -1)
+    syndromes = np.arange(p**dim)[:, None] // radix % p
+    stab = syndromes @ code.stab.basis % p
+    owner = np.repeat(np.arange(count), len(syndromes))
+    pairs = np.tile(syndromes, (count, 1))
+    leaders = code.decode(pairs, erased[owner])
+    kept = ~postselect.discards(pairs, leaders)
+    # l + x is zero at a position iff x's (a, b) there is -l's, each coded as a p + b
+    minus = -leaders % p
+    stab_values, minus_values = stab[:, :n] * p + stab[:, n:], minus[:, :n] * p + minus[:, n:]
+    good = np.empty(len(leaders))
+    step = max(1, sp.BLOCK_ENTRIES // (len(stab) * n))
+    for start in range(0, len(leaders), step):
+        at = slice(start, start + step)
+        differs = stab_values != minus_values[at, None]
+        weight = np.count_nonzero(differs & live[owner[at], None], axis=2)
+        clean = ~differs[:, :, ~is_noisy].any(axis=2)
+        good[at] = (prob[owner[at, None], weight] * clean).sum(axis=1)
+    total_good = float(good[kept].sum())
     if postselect.mode == "none":
         return ExactFidelity(total_good)
+    # P(s | E), one noisy pair at a time: each pair's value, drawn on its own,
+    # adds its syndrome, one of the distinct shifts t; s takes mass from s - t
+    values = np.arange(q)
+    given = np.zeros((count, len(syndromes)))
+    given[:, 0] = 1.0
+    for i in noisy:
+        unit = np.zeros((q, 2 * n), dtype=np.int64)
+        unit[:, i], unit[:, n + i] = values // p, values % p
+        shifts, image = np.unique(code.syndromes_batch(unit) @ radix, return_inverse=True)
+        live_mass = np.bincount(image, np.where(values == 0, 1.0 - rate, rate / (q - 1)))
+        mass = np.where(erased[:, i, None], np.bincount(image) / q, live_mass)
+        source = (syndromes - shifts[:, None, None] // radix % p) % p @ radix
+        given = np.einsum("jt,jts->js", mass, given[:, source])
+    total_accept = float((subset_prob * given).ravel()[kept].sum())
     return ExactFidelity(total_good / total_accept if total_accept else 0.0, total_accept)

@@ -41,8 +41,6 @@ FEASIBILITY_CAP = 10**8
 VECTOR_CAP = 1 << 22
 #: float32 represents every integer below this exactly
 FLOAT32_EXACT = 1 << 24
-#: entries per intermediate of the leaf filter; children and leaves are taken in blocks
-BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ class _SiblingGroup:
     D(u) + p D_min > M has no passing leaf, and a pair with
     D(u) + D(c) + (p - 1) D_min > M fails; only the children left get leaf
     candidates, and only the pairs left the exact sum. A is built
-    ~BLOCK_ENTRIES entries at a time: over the prefix (as D) only for nonzero
+    ~sp.BLOCK_ENTRIES entries at a time: over the prefix (as D) only for nonzero
     children, at its leaves only for the zero child.
     """
 
@@ -252,7 +250,7 @@ class _SiblingGroup:
         same two buffers, so none of them faults in fresh pages."""
         t, p = self.table, self.table.p
         weight = np.empty(len(idx), dtype=np.float32)
-        step = max(1, BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
+        step = max(1, sp.BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
         partner = _partner_rows(self.lines, p).T
         buffers = np.empty((2, min(step, len(idx)), len(self.lines)), dtype=np.float32)
         for start in range(0, len(idx), step):
@@ -291,9 +289,9 @@ class _SiblingGroup:
         blocks, start = [], 0
         while start < len(kids):
             # a block of count kids holds count * max(widest prefix, 2n) entries
-            widest = np.maximum.accumulate(ends[start : start + BLOCK_ENTRIES])
+            widest = np.maximum.accumulate(ends[start : start + sp.BLOCK_ENTRIES])
             entries = widest * np.arange(1, len(widest) + 1)
-            count = max(1, int(np.searchsorted(entries, BLOCK_ENTRIES, side="right")))
+            count = max(1, int(np.searchsorted(entries, sp.BLOCK_ENTRIES, side="right")))
             blocks.append(slice(start, start + count))
             start += count
         return blocks
@@ -318,7 +316,7 @@ class _SiblingGroup:
         # free[j, i]: a leaf with pivot i may sit under kids[j] (u pivots before i and is zero there)
         free = (u == 0) & (np.arange(2 * t.n) > t.first_nz[kids][:, None])
         cand = np.empty((len(kids), len(leaves)), dtype=bool)
-        step = max(1, BLOCK_ENTRIES // max(len(kids), 2 * t.n))
+        step = max(1, sp.BLOCK_ENTRIES // max(len(kids), 2 * t.n))
         for start in range(0, len(leaves), step):
             cols = leaves[start : start + step]
             cand[:, start : start + len(cols)] = free[:, t.first_nz[cols]] & t.orthogonal(u, t.vectors[cols])
@@ -343,7 +341,7 @@ class _SiblingGroup:
         j, c = np.nonzero(cand & (excess[leaves] <= room[live, None]))
         j = live[j]
         line_sums = excess[kids[j]] + excess[leaves[c]]
-        step = max(1, BLOCK_ENTRIES // (2 * t.n))
+        step = max(1, sp.BLOCK_ENTRIES // (2 * t.n))
         for start in range(0, len(j), step):
             u = t.vectors[kids[j[start : start + step]]].astype(np.int64)
             v = t.vectors[leaves[c[start : start + step]]].astype(np.int64)

@@ -7,7 +7,6 @@ are the X-part, the last n the Z-part. Position indices are 0-based.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -15,7 +14,9 @@ import numpy as np
 
 from . import fieldmath as fm
 
-#: entries (rows x 2n) of one block that ``support_vectors`` yields
+#: entries (rows x 2n) of one block that ``support_vectors`` yields; the engine's
+#: kernel blocks and oracle chunks and the search's leaf-filter intermediates
+#: hold to the same bound, read at call time
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -64,18 +65,14 @@ def symp_weights(mat: np.ndarray) -> np.ndarray:
     return np.count_nonzero((mat[:, :n] != 0) | (mat[:, n:] != 0), axis=1)
 
 
-def support_vectors(
-    n: int, p: int, supports: Iterable[Sequence[int]], free: int = 0
-) -> Iterator[np.ndarray]:
+def support_vectors(n: int, p: int, supports: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
     """Every vector of F_p^{2n} whose nonzero pairs (a_i, b_i) are exactly one
     of the given supports, in blocks of at most BLOCK_ENTRIES entries.
 
-    The first ``free`` positions of every support take every (a, b), zero
-    included, so they need not be nonzero. Rows follow the supports in the
-    order given, then the contents in product order over the (a, b) values in
-    lex order, a support's first listed position being the most significant.
-    A support of size s gives p^(2 free) (p^2 - 1)^(s - free) rows; a block
-    never mixes supports of different sizes.
+    Rows follow the supports in the order given, then the contents in product
+    order over the nonzero (a, b) values in lex order, a support's first
+    listed position being the most significant. A support of size s gives
+    (p^2 - 1)^s rows; a block never mixes supports of different sizes.
     """
     q = p * p
     max_rows = max(1, BLOCK_ENTRIES // (2 * n))
@@ -83,17 +80,15 @@ def support_vectors(
         group = list(group)
         pos = np.array(group, dtype=np.int64).reshape(len(group), size)
         # row r holds support r // place[0]; its content digits are the rest
-        # of r in mixed radix, and a nonzero position's values start at 1, so
-        # (a, b) are the base-p digits of digit + offset
-        bases = np.array([q] * free + [q - 1] * (size - free), dtype=np.int64)
-        place = np.array([math.prod(bases[j:].tolist()) for j in range(size + 1)], dtype=np.int64)
-        offset = np.array([0] * free + [1] * (size - free), dtype=np.int64)
+        # of r in base q - 1, and a position's values start at 1, so (a, b)
+        # are the base-p digits of digit + 1
+        place = np.array([(q - 1) ** (size - j) for j in range(size + 1)], dtype=np.int64)
         total = len(pos) * int(place[0])
         for start in range(0, total, max_rows):
             r = np.arange(start, min(start + max_rows, total), dtype=np.int64)
             values = r[:, None] // place[1:]
-            values %= bases
-            values += offset
+            values %= q - 1
+            values += 1
             cols = pos[r // place[0]]
             at = np.arange(len(r))[:, None]
             block = np.zeros((len(r), 2 * n), dtype=np.int64)

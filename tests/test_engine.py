@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import breedsim
-from breedsim import engine
+from breedsim import codes, engine
 from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure
 from breedsim.codes import FeasibilityError, StabilizerCode
@@ -25,6 +26,7 @@ from breedsim.engine import (
     simulate,
     verify_guarantee,
 )
+from test_kernel import extended_codes, postselects
 
 
 def v(text, p=2):
@@ -223,12 +225,37 @@ class TestVerifyGuarantee:
         assert cert.passed and cert.patterns == 904
 
     def test_weight_classes_over_cap_refused(self, five_qubit_x3):
-        # a claimed d = 12 takes erased sets of size 11, each decoded from 4^11 > 2^22
-        # class vectors; the pattern cap is raised so that only the class count refuses
-        params = EaqeccParams(p=2, n=15, gross_k=3, c=0, d=12)
+        # a claimed d = 13 takes erased sets of size 12, each decoded from 4^12 > 2^22
+        # contents; the pattern cap is raised so that only the decoder's counts refuse
+        params = EaqeccParams(p=2, n=15, gross_k=3, c=0, d=13)
         spec = BreedingProtocolSpec(five_qubit_x3, frozenset(), params)
         with pytest.raises(FeasibilityError, match="weight-class vectors"):
             verify_guarantee(spec, max_patterns=10**12)
+
+    def test_work_check_counts_what_the_decoder_generates(self, kernel_calls, monkeypatch):
+        # d = 3, c = 0: classes 0 and 1 hold 1 + 5 * 3 = 16 vectors, and an
+        # erased pair carries 4^2 = 16 contents; the spec is built first, since
+        # its distance scan would refuse at a cap of 16
+        spec = convert_pure(five_qubit_copies(1), set())
+        monkeypatch.setattr(codes, "ENUM_CAP", 15)
+        with pytest.raises(FeasibilityError, match="16 weight-class vectors through weight 1, over cap 15"):
+            verify_guarantee(spec)
+        assert kernel_calls == []
+        monkeypatch.setattr(codes, "ENUM_CAP", 16)
+        assert verify_guarantee(spec).passed
+
+    def test_work_check_on_five_qubit_x3_at_claimed_distance_six(self, monkeypatch):
+        # [[15,3,3]], c = 0, d = 6: t <= 2 and e <= 5, so the decoder builds
+        # 1 + 15 * 3 + 105 * 9 = 991 class vectors and at most 4^5 contents
+        # per erased set (the 1 372 420 patterns themselves are not run)
+        monkeypatch.setattr(codes, "ENUM_CAP", 1024)
+        codes.check_decoder_work(15, 2, 2, 5)
+        monkeypatch.setattr(codes, "ENUM_CAP", 1023)
+        with pytest.raises(FeasibilityError, match="5 erased positions enumerates 1024 weight-class"):
+            codes.check_decoder_work(15, 2, 2, 5)
+        monkeypatch.setattr(codes, "ENUM_CAP", 990)
+        with pytest.raises(FeasibilityError, match="991 weight-class vectors through weight 2"):
+            codes.check_decoder_work(15, 2, 2, 5)
 
     def test_all_catalog_conversions(self):
         from breedsim.catalog import builtin_catalog
@@ -254,6 +281,31 @@ class TestSimulate:
         serial = simulate(breeding_spec, Channel(2, 0.1), 25_000, seed=3, workers=1)
         parallel = simulate(breeding_spec, Channel(2, 0.1), 25_000, seed=3, workers=2)
         assert serial == parallel
+
+    def test_pool_starts_no_more_workers_than_chunks(self, breeding_spec, monkeypatch):
+        # a stand-in pool that maps in-process: no real process is started
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = simulate(breeding_spec, Channel(2, 0.1), 2 * CHUNK, seed=5)
+        assert simulate(breeding_spec, Channel(2, 0.1), 2 * CHUNK, seed=5, workers=500) == serial
+        assert simulate(breeding_spec, Channel(2, 0.1), 3 * CHUNK, seed=5, workers=2).trials == 3 * CHUNK
+        assert sizes == [2, 2]
 
     def test_import_loads_no_process_pool(self):
         # the pool is imported only by a run with more than one worker
@@ -581,6 +633,20 @@ STEANE = [
 
 
 @pytest.fixture
+def decode_calls(monkeypatch):
+    """The row count of every StabilizerCode.decode call."""
+    calls = []
+    decode = StabilizerCode.decode
+
+    def counted(self, syndromes, erased=frozenset()):
+        calls.append(len(np.atleast_2d(syndromes)))
+        return decode(self, syndromes, erased)
+
+    monkeypatch.setattr(StabilizerCode, "decode", counted)
+    return calls
+
+
+@pytest.fixture
 def kernel_calls(monkeypatch):
     """The row count of every run_protocol call the engine makes."""
     calls = []
@@ -632,11 +698,13 @@ class TestKernelCalls:
         assert verify_guarantee(breeding_spec).passed
         assert len(kernel_calls) == 2
 
-    def test_exact_fidelity_is_one_call(self, kernel_calls):
+    def test_exact_fidelity_is_one_call(self, kernel_calls, decode_calls):
         spec = convert_pure(five_qubit_copies(1), {4})
-        exact_fidelity(spec, Channel(2, 0.1, 0.1))
-        # 4^4 error rows for each of the 2^4 erased subsets
-        assert kernel_calls == [4**4 * 2**4]
+        exact_fidelity(spec, Channel(2, 0.1, 0.1), PostSelect.parse("nonzero"))
+        # no error row reaches the kernel; one decode call takes the 2^4
+        # syndromes of each of the 2^4 erased subsets
+        assert kernel_calls == []
+        assert decode_calls == [2**4 * 2**4]
 
     @pytest.mark.parametrize("block_rows", [1, 7, 32])
     @pytest.mark.parametrize(
@@ -672,33 +740,28 @@ class TestKernelCalls:
     @pytest.mark.parametrize("policy", ["none", "nonzero", "weight:1"])
     @pytest.mark.parametrize("block", ["three_subsets", "under_one_subset", "seven_rows"])
     @pytest.mark.parametrize("which", ["breeding", "qutrit"])
-    def test_exact_fidelity_small_blocks(
-        self, breeding_spec, qutrit_spec, which, block, policy, kernel_calls, monkeypatch
-    ):
+    def test_exact_fidelity_small_blocks(self, breeding_spec, qutrit_spec, which, block, policy, monkeypatch):
+        # blocks of 2n times these rows: the success sum takes 2 block_rows / p^dim(C)
+        # (subset, syndrome) pairs per chunk, one at least
         spec = {"breeding": breeding_spec, "qutrit": qutrit_spec}[which]
         p, n, m = spec.extended_code.p, spec.extended_code.n, len(spec.noisy_positions)
         channel = Channel(p, 0.15, erasure=0.2)
         post = PostSelect.parse(policy)
         size = p ** (2 * m)
-        # 7 rows: subsets straddle calls at uneven offsets
         block_rows = {"three_subsets": 3 * size, "under_one_subset": size - 1, "seven_rows": 7}[block]
         monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
         got = exact_fidelity(spec, channel, postselect=post)
-        # every call but the last is full, and the calls hold every subset's rows
-        assert all(rows == block_rows for rows in kernel_calls[:-1])
-        assert sum(kernel_calls) == 2**m * size
         fidelity, acceptance = exact_reference(spec, channel, post)
-        assert got.fidelity == fidelity
-        assert got.acceptance == acceptance
-
+        assert abs(got.fidelity - fidelity) <= 1e-12
+        assert abs(got.acceptance - acceptance) <= 1e-12
 
     @pytest.mark.parametrize("erasure", [0.0, 1.0])
     @pytest.mark.parametrize("block", ["under_one_subset", "seven_rows"])
     @pytest.mark.parametrize("which", ["breeding", "qutrit"])
     def test_exact_fidelity_one_subset_in_small_blocks(
-        self, breeding_spec, qutrit_spec, which, block, erasure, kernel_calls, monkeypatch
+        self, breeding_spec, qutrit_spec, which, block, erasure, monkeypatch
     ):
-        # with erasure 0 or 1 a single erased subset carries every row
+        # with erasure 0 or 1 a single erased subset carries every pair
         spec = {"breeding": breeding_spec, "qutrit": qutrit_spec}[which]
         p, n, m = spec.extended_code.p, spec.extended_code.n, len(spec.noisy_positions)
         channel = Channel(p, 0.15, erasure=erasure)
@@ -707,27 +770,55 @@ class TestKernelCalls:
         block_rows = {"under_one_subset": size - 1, "seven_rows": 7}[block]
         monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * block_rows)
         got = exact_fidelity(spec, channel, postselect=post)
-        assert all(rows == block_rows for rows in kernel_calls[:-1])
-        assert sum(kernel_calls) == size
         fidelity, acceptance = exact_reference(spec, channel, post)
-        assert got.fidelity == fidelity
-        assert got.acceptance == acceptance
+        assert abs(got.fidelity - fidelity) <= 1e-12
+        assert abs(got.acceptance - acceptance) <= 1e-12
 
     @pytest.mark.parametrize("erasure", [0.0, 0.2])
-    def test_exact_fidelity_reads_the_cap_at_call_time(
-        self, breeding_spec, erasure, kernel_calls, monkeypatch
-    ):
-        # exactly the terms needed pass; one fewer is refused before any kernel call
-        m = len(breeding_spec.noisy_positions)
-        terms = 4**m * (2**m if erasure else 1)
+    def test_exact_fidelity_reads_the_cap_at_call_time(self, erasure, kernel_calls, decode_calls, monkeypatch):
+        # p^(2 dim C) leader-stabilizer terms per erased subset: exactly the
+        # terms needed pass; one fewer is refused before any decode call. The
+        # largest subset's 4^4 contents stay under both caps
+        spec = convert_pure(five_qubit_copies(1), {4})
+        m, dim = len(spec.noisy_positions), spec.extended_code.stab.dim
+        terms = 2 ** (2 * dim) * (2**m if erasure else 1)
         channel = Channel(2, 0.15, erasure=erasure)
-        monkeypatch.setattr(engine, "ENUM_CAP", terms - 1)
+        monkeypatch.setattr(codes, "ENUM_CAP", terms - 1)
         with pytest.raises(FeasibilityError, match=f"over cap {terms - 1}"):
-            exact_fidelity(breeding_spec, channel)
-        assert kernel_calls == []
-        monkeypatch.setattr(engine, "ENUM_CAP", terms)
-        got = exact_fidelity(breeding_spec, channel)
-        assert got.fidelity == exact_reference(breeding_spec, channel, PostSelect.parse("none"))[0]
+            exact_fidelity(spec, channel)
+        assert decode_calls == [] and kernel_calls == []
+        monkeypatch.setattr(codes, "ENUM_CAP", terms)
+        got = exact_fidelity(spec, channel)
+        assert decode_calls == [2**dim * (2**m if erasure else 1)]
+        assert abs(got.fidelity - exact_reference(spec, channel, PostSelect.parse("none"))[0]) <= 1e-12
+
+    def test_exact_fidelity_refuses_the_largest_erased_subset_before_joining(self, monkeypatch):
+        # erasure 1: one subset of all 5 noisy pairs, whose 4^5 contents the
+        # decoder refuses before it joins anything; 2^(2 dim C) = 16 terms fit the cap
+        spec = convert_pure(StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")]), {5})
+        monkeypatch.setattr(codes, "ENUM_CAP", 4**5 - 1)
+        with pytest.raises(FeasibilityError, match="5 erased positions enumerates 1024"):
+            exact_fidelity(spec, Channel(2, 0.1, erasure=1.0))
+        assert spec.extended_code._classes == []
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(extended_codes(), st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0), st.booleans(), st.data())
+def test_exact_fidelity_matches_the_full_space_sum(case, erasure, rate, one_pair, data):
+    # noisy pairs first, then the c ebits symp_extend appended; a chunk of
+    # the success sum holds one (subset, syndrome) pair, or the default many
+    code, n, c = case
+    params = EaqeccParams(p=code.p, n=n, gross_k=code.k, c=c, d=None)
+    spec = BreedingProtocolSpec(code, frozenset(range(n, code.n)), params)
+    channel = Channel(code.p, rate, erasure)
+    post = PostSelect.parse(data.draw(postselects(code.n)))
+    entries = code.p**code.stab.dim * code.n if one_pair else sp.BLOCK_ENTRIES
+    with mock.patch.object(sp, "BLOCK_ENTRIES", entries):
+        got = exact_fidelity(spec, channel, post)
+    fidelity, acceptance = exact_reference(spec, channel, post)
+    assert abs(got.fidelity - fidelity) <= 1e-12
+    assert abs(got.acceptance - acceptance) <= 1e-12
+
 
 def test_postselect_parsing():
     assert PostSelect.parse("none").mode == "none"

@@ -20,7 +20,15 @@ from breedsim import symplectic as sp
 from breedsim.breeding import BreedingProtocolSpec, EaqeccParams, convert_pure, eaqecc_distance
 from breedsim.catalog import builtin_catalog
 from breedsim.codes import FeasibilityError, StabilizerCode
-from breedsim.engine import ErrorPattern, PostSelect, run_protocol, verify_guarantee
+from breedsim.engine import (
+    Channel,
+    ErrorPattern,
+    PostSelect,
+    exact_fidelity,
+    run_protocol,
+    simulate,
+    verify_guarantee,
+)
 
 #: largest subspace length per field, so that p^(2(n + c)) stays at most 2^14
 MAX_N = {2: 5, 3: 3, 5: 2}
@@ -167,30 +175,6 @@ def test_support_vectors_order(p, n, data):
     assert np.array_equal(got, np.reshape(expected, (-1, 2 * n)))
 
 
-@SETTINGS
-@given(st.sampled_from([2, 3]), st.integers(1, 4), st.data())
-def test_support_vectors_free_positions(p, n, data):
-    free = data.draw(st.integers(0, min(n, 2)))
-    supports = data.draw(
-        st.lists(st.lists(st.integers(0, n - 1), unique=True, min_size=free, max_size=min(n, 3)), max_size=5)
-    )
-    max_rows = data.draw(st.integers(1, 40))
-    pairs = [(a, b) for a in range(p) for b in range(p)]
-    expected = []
-    for support in supports:
-        # free positions run over every (a, b), the others over the nonzero ones
-        choices = [pairs] * free + [pairs[1:]] * (len(support) - free)
-        for content in itertools.product(*choices):
-            vec = np.zeros(2 * n, dtype=np.int64)
-            for pos, (a, b) in zip(support, content):
-                vec[pos], vec[n + pos] = a, b
-            expected.append(vec)
-    with mock.patch.object(sp, "BLOCK_ENTRIES", max_rows * 2 * n):
-        blocks = list(sp.support_vectors(n, p, map(tuple, supports), free=free))
-    got = np.vstack([np.zeros((0, 2 * n), dtype=np.int64), *blocks])
-    assert np.array_equal(got, np.reshape(expected, (-1, 2 * n)))
-
-
 @pytest.fixture(scope="module")
 def quantum_hamming():
     """[[15,7,3]]: CSS code of the [15,11,3] Hamming code's parity checks (column j is j+1 in binary)."""
@@ -209,6 +193,23 @@ def test_quantum_hamming_code(quantum_hamming):
     assert sp.symp_weights(table).max() == 2
     cert = verify_guarantee(convert_pure(code, {14}))
     assert cert.passed and cert.patterns == 904
+
+
+@pytest.mark.parametrize("policy", ["none", "nonzero", "weight:1"])
+def test_quantum_hamming_punctured_once_exact_agrees_with_simulation(quantum_hamming, policy):
+    # 4^14 error rows on the 14 noisy pairs; the oracle takes 2^8 leaders
+    # times 2^8 stabilizer elements
+    spec = convert_pure(quantum_hamming, {14})
+    channel, post = Channel(2, 0.01), PostSelect.parse(policy)
+    exact = exact_fidelity(spec, channel, post)
+    pinned = {"none": (0.993253, 1.0), "nonzero": (0.999997, 0.868749), "weight:1": (0.997241, 0.994342)}
+    assert np.allclose((exact.fidelity, exact.acceptance), pinned[policy], rtol=0, atol=5e-7)
+    report = simulate(spec, channel, 200_000, seed=3, postselect=post)
+    # 5 half-widths of the 95% interval, with the exact probabilities
+    half = 1.96 * np.sqrt(exact.fidelity * (1 - exact.fidelity) / report.kept)
+    assert abs(report.fidelity_estimate - exact.fidelity) <= 5 * half
+    half = 1.96 * np.sqrt(exact.acceptance * (1 - exact.acceptance) / report.trials)
+    assert abs(report.kept / report.trials - exact.acceptance) <= 5 * half
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
@@ -380,6 +381,17 @@ def test_decoder_counts_a_sets_contents_before_generating_them(monkeypatch):
     monkeypatch.setattr(codes, "ENUM_CAP", 16)
     assert not code.decode((0, 0, 0, 0), {0, 1}).any()
 
+
+def test_decoder_refuses_the_largest_erased_set_before_joining_any(monkeypatch):
+    # one call with an erased set of one qubit (4 contents) and one of two
+    # (16): nothing is joined, so not even class 0 is built
+    entry = next(e for e in builtin_catalog() if e.name == "five_qubit")
+    code = StabilizerCode(entry.code.p, entry.code.n, entry.code.stab.basis)
+    monkeypatch.setattr(codes, "ENUM_CAP", 15)
+    mask = erasure_mask([{0}, {0, 1}], code.n)
+    with pytest.raises(FeasibilityError, match="16 weight-class vectors on them, over cap 15"):
+        code.decode(np.zeros((2, 4), dtype=np.int64), mask)
+    assert code._classes == [] and len(code._cache_keys) == 0
 
 @SETTINGS
 @given(st.data())

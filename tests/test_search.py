@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ def test_budget_runs_out_inside_root_blocks(params):
 
 
 def test_leaf_filter_in_blocks_of_one_candidate(monkeypatch):
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(sp, "BLOCK_ENTRIES", 1)
     for params in [(2, 4, 3, 2), (2, 3, 1, 2), (3, 3, 1, 2)]:
         q = SearchQuery(*params)
         assert search_codes(q) == reference_search(q)
@@ -421,7 +422,7 @@ def sibling_groups(draw):
         pivots.append(int(table.first_nz[i]))
     idx = table.candidates(chosen, pivots).tolist()
     kids = draw(st.lists(st.sampled_from(idx), max_size=5, unique=True)) if idx else []
-    block_entries = draw(st.sampled_from([1, 7, 64, search.BLOCK_ENTRIES]))
+    block_entries = draw(st.sampled_from([1, 7, 64, sp.BLOCK_ENTRIES]))
     return p, n, d_min, chosen, pivots, np.array(kids, dtype=np.int64), block_entries
 
 
@@ -432,7 +433,7 @@ def ordered_sibling_groups(draw):
     candidates, in ascending or descending order; a block size, where 2^12
     splits a block of several children into several leaf chunks."""
     p, n, d_min, chosen, pivots, _, _ = draw(sibling_groups())
-    block_entries = draw(st.sampled_from([1, 7, 64, 1 << 12, search.BLOCK_ENTRIES]))
+    block_entries = draw(st.sampled_from([1, 7, 64, 1 << 12, sp.BLOCK_ENTRIES]))
     idx = search._VectorTable(p, n, d_min).candidates(chosen, pivots)
     order = draw(st.sampled_from(["zero", "asc", "desc"]))
     if order == "zero" or len(idx) == 0:
@@ -467,13 +468,15 @@ def check_per_vector(table, chosen, pivots, kids):
 @settings(
     max_examples=40,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ordered_sibling_groups())
-def test_leaf_filter_matches_per_vector_reference(monkeypatch, case):
+def test_leaf_filter_matches_per_vector_reference(case):
     p, n, d_min, chosen, pivots, kids, block_entries = case
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
-    check_per_vector(search._VectorTable(p, n, d_min), chosen, pivots, kids)
+    # the table is built at the default block size, as the strategies build theirs
+    table = search._VectorTable(p, n, d_min)
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+        check_per_vector(table, chosen, pivots, kids)
 
 
 @pytest.mark.parametrize("order", ["asc", "desc"])
@@ -486,7 +489,7 @@ def test_leaf_filter_matches_per_vector_reference_on_wide_groups(
 ):
     # the roots of [[6,4,2]]_2 (witnesses) and [[5,3,2]]_2 (open pairs, none
     # pass) and a repeated-row group over F_3, about 48 children each
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(sp, "BLOCK_ENTRIES", block_entries)
     group, chosen = group_under(p, n, d_min, chosen_rows)
     pivots = [int(np.argmax(r != 0)) for r in chosen]
     kids = group.leaves[:: max(1, len(group.leaves) // 48)]
@@ -497,16 +500,16 @@ def test_leaf_filter_matches_per_vector_reference_on_wide_groups(
 @settings(
     max_examples=80,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sibling_groups())
-def test_sibling_group_matches_candidates_and_exact_distance(monkeypatch, case):
+def test_sibling_group_matches_candidates_and_exact_distance(case):
     p, n, d_min, chosen, pivots, kids, block_entries = case
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
     table = search._VectorTable(p, n, d_min)
-    group = sibling_group(table, chosen, pivots)
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+        group = sibling_group(table, chosen, pivots)
+        blocks = list(filtered_blocks(group, kids))
     leaves = group.leaves
-    blocks = list(filtered_blocks(group, kids))
     assert [int(kid) for block, *_ in blocks for kid in block] == kids.tolist()
     for block, cand, _, ok in blocks:
         assert not (ok & ~cand).any()
@@ -726,15 +729,16 @@ def check_line_sums(group, chosen, kids):
 @settings(
     max_examples=40,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.one_of(sibling_groups(), ordered_sibling_groups()))
-def test_line_sums_of_excess_decide_every_pair(monkeypatch, case):
+def test_line_sums_of_excess_decide_every_pair(case):
     p, n, d_min, chosen, pivots, kids, block_entries = case
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", block_entries)
-    group = sibling_group(search._VectorTable(p, n, d_min), chosen, pivots)
-    check_line_sums(group, chosen, kids)
-    check_tables(group, chosen, kids)
+    table = search._VectorTable(p, n, d_min)
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
+        group = sibling_group(table, chosen, pivots)
+        check_line_sums(group, chosen, kids)
+        check_tables(group, chosen, kids)
 
 
 @pytest.mark.parametrize("p, n, d_min, chosen_rows", [(2, 4, 2, []), (3, 3, 2, []), (2, 5, 2, [])])
@@ -861,7 +865,7 @@ def test_exact_sums_take_open_pairs_in_several_steps(p, n, d_min, pair_step, mon
     group, chosen = group_under(p, n, d_min, [])
     kids = group.leaves
     cand = group.leaf_candidates(kids)
-    monkeypatch.setattr(search, "BLOCK_ENTRIES", 2 * n * pair_step)
+    monkeypatch.setattr(sp, "BLOCK_ENTRIES", 2 * n * pair_step)
     kid_pos, leaf_pos = group.survivors(kids)
     ref_cand, ref_ok = per_vector_filter(group.table, chosen, group.leaves, kids)
     assert np.array_equal(cand, ref_cand[:, : cand.shape[1]]) and not ref_cand[:, cand.shape[1] :].any()
