@@ -42,13 +42,9 @@ class FeasibilityError(RuntimeError):
 
 
 #: most weight-class vectors one distance scan, or the decoder of one code,
-#: generates; also the most contents one erased set may take
+#: generates; also the most contents one erased set may take, the most
+#: vectors the search's table holds and the most terms the exact oracle sums
 ENUM_CAP = 1 << 22
-
-#: most entries (rows x 2n) one decoder join chunk takes: its pairs' contents
-#: times the pairs, and the class rows it scans at one time (one pair with
-#: more contents takes a chunk of its own)
-BUILD_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,18 +94,6 @@ class StabilizerCode:
         return sp.symp_dual(self.stab)
 
     @cached_property
-    def _syndrome_check(self) -> np.ndarray:
-        """The transposed syndrome matrix as float64, for ``fm.mat_mod``."""
-        return sp.syndrome_matrix(self.stab.basis, self.p).T.astype(np.float64)
-
-    @cached_property
-    def _coset_map(self) -> np.ndarray:
-        """``fm.reduction_map`` of the stabilizer; its basis is RREF already,
-        so each row's pivot is its first nonzero entry."""
-        basis = self.stab.basis
-        return fm.reduction_map(basis, np.argmax(basis != 0, axis=1), self.p)
-
-    @cached_property
     def _distance_and_purity(self) -> Tuple[Optional[int], Optional[bool]]:
         distance, min_nonzero = min_weight_outside(self.stab)
         return distance, None if distance is None else distance == min_nonzero
@@ -133,7 +117,7 @@ class StabilizerCode:
         """Syndrome of each error row (entries of any sign or size), as int64
         in [0, p). One exact float64 product (``fm.mat_mod``): each syndrome
         entry sums 2n terms of at most (p - 1)^2, far below 2^53."""
-        return fm.mat_mod(errors, self._syndrome_check, self.p)
+        return fm.mat_mod(errors, self.stab.syndrome_map, self.p)
 
     @cached_property
     def _syndrome_radix(self) -> np.ndarray:
@@ -225,7 +209,7 @@ class StabilizerCode:
             check_decoder_work(n, p, v, 0)
             parts = [
                 (
-                    fm.mat_mod(block, self._syndrome_check, p) @ self._syndrome_radix,
+                    fm.mat_mod(block, self.stab.syndrome_map, p) @ self._syndrome_radix,
                     block @ self._lex_words,
                     ((block[:, :n] != 0) | (block[:, n:] != 0)) @ self._mask_words,
                 )
@@ -241,10 +225,10 @@ class StabilizerCode:
         row, syndrome row).
 
         The distinct pairs are led by erased-set size e, in groups of whole
-        erased sets whose p^(2e) contents fit BUILD_ENTRIES (a larger set
-        alone), and join the cache in one merge. The largest set's p^(2e)
-        contents are counted before any set is joined, and refused above
-        ENUM_CAP.
+        erased sets whose p^(2e) contents fit one block (``sp.block_rows``;
+        a larger set alone), and join the cache in one merge. The largest
+        set's p^(2e) contents are counted before any set is joined, and
+        refused above ENUM_CAP.
         """
         order = np.argsort(keys, kind="stable")
         order = order[_firsts(keys[order])]
@@ -256,7 +240,7 @@ class StabilizerCode:
             contents = (self.p * self.p) ** e
             pending = np.flatnonzero(sizes == e)
             starts = np.flatnonzero(_firsts(mask[pending]))
-            per_group = max(1, self._chunk_rows // contents)
+            per_group = sp.block_rows(2 * self.n * contents)
             for part in np.split(pending, starts[per_group::per_group]):
                 words[part] = self._join(keys[part], mask[part], rows[part], e)
         # each digit sits in its lex-rank word at its place value
@@ -265,11 +249,6 @@ class StabilizerCode:
         at = np.searchsorted(self._cache_keys, keys)
         self._cache_keys = np.insert(self._cache_keys, at, keys)
         self._leaders = np.insert(self._leaders, at, leaders, axis=0)
-
-    @property
-    def _chunk_rows(self) -> int:
-        """Rows of one decoder chunk: BUILD_ENTRIES // (2n), one at least."""
-        return max(1, BUILD_ENTRIES // (2 * self.n))
 
     def _join(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
         """Lex-rank words of the leader of each (erased set, syndrome) pair:
@@ -285,9 +264,9 @@ class StabilizerCode:
         joins those contents y against class w on the key of s - syn(y),
         drops the class rows that touch E, and keeps the lex-smallest y + z.
         y and z have disjoint digits, so their lex-rank words add. Contents
-        and candidates are taken about ``_chunk_rows`` at a time.
+        and candidates are taken about ``sp.block_rows(2n)`` at a time.
         """
-        p, n, radix, chunk = self.p, self.n, self._syndrome_radix, self._chunk_rows
+        p, n, radix, chunk = self.p, self.n, self._syndrome_radix, sp.block_rows(2 * self.n)
         new_set = _firsts(mask)
         set_of = np.cumsum(new_set) - 1
         sets = mask[new_set]
@@ -297,10 +276,10 @@ class StabilizerCode:
         # the first content of each (set, syndrome key), sorted by (set, key):
         # contents go in number order, so a key keeps its earliest content
         lead_set = lead_key = lead_content = np.empty(0, dtype=np.int64)
-        step = max(1, chunk // len(sets))
+        step = sp.block_rows(2 * n * len(sets))
         for start in range(0, (p * p) ** e, step):
             content = np.arange(start, min(start + step, (p * p) ** e))
-            found_keys = fm.mat_mod(content[:, None] // powers % p, self._syndrome_check[columns], p) @ radix
+            found_keys = fm.mat_mod(content[:, None] // powers % p, self.stab.syndrome_map[columns], p) @ radix
             owner = np.concatenate([lead_set, np.repeat(np.arange(len(sets)), len(content))])
             key = np.concatenate([lead_key, found_keys.ravel()])
             content = np.concatenate([lead_content, np.tile(content, len(sets))])
@@ -354,10 +333,10 @@ class StabilizerCode:
         """Canonical C-coset representative of each row (entries of any sign
         or size; the zero row for rows in C). The stabilizer's RREF basis is
         the identity on its pivot columns, so a representative is zero there
-        and rows @ K is all of it, for one map K cached per code: one exact
-        float64 product (``fm.mat_mod``; each entry sums 2n terms of at most
-        (p - 1)^2, far below 2^53)."""
-        return fm.mat_mod(rows, self._coset_map, self.p)
+        and rows @ K is all of it, for the map K the stabilizer caches
+        (``coset_map``): one exact float64 product (``fm.mat_mod``; each
+        entry sums 2n terms of at most (p - 1)^2, far below 2^53)."""
+        return fm.mat_mod(rows, self.stab.coset_map, self.p)
 
     def logical_class(self, residual: np.ndarray) -> LogicalClass:
         """Canonical C-coset label; non-correctable if residual is outside C^perp_s."""
@@ -371,19 +350,20 @@ class StabilizerCode:
 
 
 def check_decoder_work(n: int, p: int, weight: int, erased: int) -> None:
-    """Refuse (FeasibilityError) a decode of a length-n code over F_p that
-    needs its weight classes 0..weight, sum over v of C(n, v) (p^2 - 1)^v
-    vectors, or an erased set of ``erased`` positions, p^(2 erased)
-    contents, when either count passes ENUM_CAP."""
+    """Refuse (FeasibilityError) work on a length-n code over F_p that needs
+    its weight classes 0..weight, sum over v of C(n, v) (p^2 - 1)^v vectors,
+    or an erased set of ``erased`` positions, p^(2 erased) contents, when
+    either count passes ENUM_CAP. Distance scans and the decoder both count
+    through it."""
     classes = sum(comb(n, v) * (p * p - 1) ** v for v in range(weight + 1))
     if classes > ENUM_CAP:
         raise FeasibilityError(
-            f"decoding enumerates {classes} weight-class vectors through weight {weight}, "
+            f"enumeration needs {classes} weight-class vectors through weight {weight}, "
             f"over cap {ENUM_CAP}"
         )
     if (p * p) ** erased > ENUM_CAP:
         raise FeasibilityError(
-            f"decoding with {erased} erased positions enumerates {(p * p) ** erased} weight-class "
+            f"a set of {erased} erased positions enumerates {(p * p) ** erased} weight-class "
             f"vectors on them, over cap {ENUM_CAP}"
         )
 
@@ -457,28 +437,21 @@ def min_weight_outside(sub: sp.SympSubspace) -> Tuple[Optional[int], Optional[in
     Both are None when sub^perp_s lies inside sub. Otherwise weight classes
     w = 1, 2, ... are scanned up to the first one holding a vector of
     sub^perp_s (zero syndrome against sub) outside sub; refused before a
-    class that would take the vectors generated past ENUM_CAP.
+    class that would take the vectors generated past ENUM_CAP, counted as
+    the decoder counts them (``check_decoder_work``).
     """
     p, n = sub.p, sub.n
     # sub meets its dual in dim(sub) - rank(gram) dimensions, and the dual
     # (of dimension 2n - dim(sub)) lies inside sub iff it is that intersection
     if 2 * n - sub.dim == sub.dim - fm.rank(sp.gram(sub), p):
         return None, None
-    r, pivots = fm.rref(sub.basis, p)
-    reduction = fm.reduction_map(r[: len(pivots)], pivots, p)
-    check = sp.syndrome_matrix(sub.basis, p).T.astype(np.float64)
-    min_nonzero, generated = None, 0
+    min_nonzero = None
     for w in range(1, n + 1):
-        generated += comb(n, w) * (p * p - 1) ** w
-        if generated > ENUM_CAP:
-            raise FeasibilityError(
-                f"minimum-weight enumeration needs {generated} vectors through weight {w}, "
-                f"over cap {ENUM_CAP}"
-            )
+        check_decoder_work(n, p, w, 0)
         for block in sp.support_vectors(n, p, itertools.combinations(range(n), w)):
-            dual = block[~np.any(fm.mat_mod(block, check, p), axis=1)]
+            dual = block[~np.any(fm.mat_mod(block, sub.syndrome_map, p), axis=1)]
             if len(dual):
                 min_nonzero = min_nonzero or w
-                if np.any(fm.mat_mod(dual, reduction, p)):
+                if np.any(fm.mat_mod(dual, sub.coset_map, p)):
                     return w, min_nonzero
     raise AssertionError("the dual lies outside sub but has no vector of weight at most n")

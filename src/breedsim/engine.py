@@ -282,7 +282,7 @@ def verify_guarantee(
         codes.check_decoder_work(n, code.p, weights[0][-1], max(weights))
 
     # a kernel call takes the next max_rows patterns, across (e, t)
-    max_rows = max(1, sp.BLOCK_ENTRIES // (2 * n))
+    max_rows = sp.block_rows(2 * n)
     patterns = 0
     for rows, masks in _regroup(_guarantee_rows(code.p, n, noisy, weights), max_rows):
         failed = np.flatnonzero(~run_protocol(spec, ErrorPattern(rows, masks)).success)
@@ -426,9 +426,9 @@ def exact_fidelity(
     noisy pair at a time, each shifting the syndrome by that of its own
     value. Both are sums of nonnegative terms, so a small acceptance keeps
     its relative precision. Refuses before decoding when the p^(2l)
-    (leader, stabilizer) terms times the subsets exceed ``codes.ENUM_CAP``,
-    or when the channel's field is not the code's; the decoder refuses a
-    subset with more than ENUM_CAP contents before it joins any.
+    (leader, stabilizer) terms times the subsets, or the contents the
+    decoder joins over them (the sum over subsets E of p^(2|E|)), exceed
+    ``codes.ENUM_CAP``, or when the channel's field is not the code's.
     """
     code = spec.extended_code
     p, n, dim = code.p, code.n, code.stab.dim
@@ -439,10 +439,11 @@ def exact_fidelity(
     rate, er = channel.depolarizing, channel.erasure
     sizes = [e for e in range(m + 1) if er**e * (1.0 - er) ** (m - e) != 0.0]
     count = sum(comb(m, e) for e in sizes)
-    if p ** (2 * dim) * count > codes.ENUM_CAP:
+    contents = sum(comb(m, e) * q**e for e in sizes)
+    if max(p ** (2 * dim) * count, contents) > codes.ENUM_CAP:
         raise FeasibilityError(
-            f"exact sum needs {p}^{2 * dim} leader-stabilizer terms times {count} erased subsets, "
-            f"over cap {codes.ENUM_CAP}"
+            f"exact sum needs {p}^{2 * dim} leader-stabilizer terms times {count} erased subsets "
+            f"and {contents} decoder contents over them, over cap {codes.ENUM_CAP}"
         )
     erased = np.zeros((count, n), dtype=bool)
     for j, subset in enumerate(s for e in sizes for s in itertools.combinations(noisy, e)):
@@ -467,7 +468,7 @@ def exact_fidelity(
     minus = -leaders % p
     stab_values, minus_values = stab[:, :n] * p + stab[:, n:], minus[:, :n] * p + minus[:, n:]
     good = np.empty(len(leaders))
-    step = max(1, sp.BLOCK_ENTRIES // (len(stab) * n))
+    step = sp.block_rows(len(stab) * n)
     for start in range(0, len(leaders), step):
         at = slice(start, start + step)
         differs = stab_values != minus_values[at, None]

@@ -31,14 +31,13 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import codes
 from . import fieldmath as fm
 from . import symplectic as sp
 from .codes import FeasibilityError, StabilizerCode
 
 #: refusal threshold for the naive pre-pruning node bound (p^{2n})^{n-k}
 FEASIBILITY_CAP = 10**8
-#: cap on materializing the full vector table
-VECTOR_CAP = 1 << 22
 #: float32 represents every integer below this exactly
 FLOAT32_EXACT = 1 << 24
 
@@ -100,11 +99,12 @@ def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
 
 class _VectorTable:
     """Every vector of F_p^{2n} as uint8, at its index in ``span_elements``
-    order, with the tables the DFS and the leaf filter read."""
+    order, with the tables the DFS and the leaf filter read; refused above
+    ``codes.ENUM_CAP`` vectors."""
 
     def __init__(self, p: int, n: int, d_min: int):
-        if p ** (2 * n) > VECTOR_CAP:
-            raise FeasibilityError(f"vector table of size {p}^{2 * n} exceeds cap {VECTOR_CAP}")
+        if p ** (2 * n) > codes.ENUM_CAP:
+            raise FeasibilityError(f"vector table of size {p}^{2 * n} exceeds cap {codes.ENUM_CAP}")
         self.p, self.n = p, n
         size = 2 * n
         # index i holds the base-p digits of i, the first coordinate most
@@ -250,7 +250,7 @@ class _SiblingGroup:
         same two buffers, so none of them faults in fresh pages."""
         t, p = self.table, self.table.p
         weight = np.empty(len(idx), dtype=np.float32)
-        step = max(1, sp.BLOCK_ENTRIES // max(len(self.lines), 2 * t.n))
+        step = sp.block_rows(max(len(self.lines), 2 * t.n))
         partner = _partner_rows(self.lines, p).T
         buffers = np.empty((2, min(step, len(idx)), len(self.lines)), dtype=np.float32)
         for start in range(0, len(idx), step):
@@ -316,7 +316,7 @@ class _SiblingGroup:
         # free[j, i]: a leaf with pivot i may sit under kids[j] (u pivots before i and is zero there)
         free = (u == 0) & (np.arange(2 * t.n) > t.first_nz[kids][:, None])
         cand = np.empty((len(kids), len(leaves)), dtype=bool)
-        step = max(1, sp.BLOCK_ENTRIES // max(len(kids), 2 * t.n))
+        step = sp.block_rows(max(len(kids), 2 * t.n))
         for start in range(0, len(leaves), step):
             cols = leaves[start : start + step]
             cand[:, start : start + len(cols)] = free[:, t.first_nz[cols]] & t.orthogonal(u, t.vectors[cols])
@@ -341,7 +341,7 @@ class _SiblingGroup:
         j, c = np.nonzero(cand & (excess[leaves] <= room[live, None]))
         j = live[j]
         line_sums = excess[kids[j]] + excess[leaves[c]]
-        step = max(1, sp.BLOCK_ENTRIES // (2 * t.n))
+        step = sp.block_rows(2 * t.n)
         for start in range(0, len(j), step):
             u = t.vectors[kids[j[start : start + step]]].astype(np.int64)
             v = t.vectors[leaves[c[start : start + step]]].astype(np.int64)

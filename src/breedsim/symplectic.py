@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -15,9 +16,14 @@ import numpy as np
 from . import fieldmath as fm
 
 #: entries (rows x 2n) of one block that ``support_vectors`` yields; the engine's
-#: kernel blocks and oracle chunks and the search's leaf-filter intermediates
-#: hold to the same bound, read at call time
+#: kernel blocks and oracle chunks, the decoder's join chunks and the search's
+#: leaf-filter intermediates hold to the same bound, read at call time
 BLOCK_ENTRIES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` entries that one block of BLOCK_ENTRIES holds, one at least."""
+    return max(1, BLOCK_ENTRIES // width)
 
 
 def from_string(text: str, p: int) -> np.ndarray:
@@ -75,7 +81,7 @@ def support_vectors(n: int, p: int, supports: Iterable[Sequence[int]]) -> Iterat
     (p^2 - 1)^s rows; a block never mixes supports of different sizes.
     """
     q = p * p
-    max_rows = max(1, BLOCK_ENTRIES // (2 * n))
+    max_rows = block_rows(2 * n)
     for size, group in itertools.groupby(supports, len):
         group = list(group)
         pos = np.array(group, dtype=np.int64).reshape(len(group), size)
@@ -108,7 +114,8 @@ def star(v: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SympSubspace:
-    """An F_p-linear subspace of F_p^{2n}, stored as an RREF basis."""
+    """An F_p-linear subspace of F_p^{2n}, stored as an RREF basis: each
+    row's first nonzero entry is its pivot."""
 
     p: int
     n: int
@@ -133,6 +140,18 @@ class SympSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def syndrome_map(self) -> np.ndarray:
+        """The transposed ``syndrome_matrix`` as float64: ``fm.mat_mod(x,
+        syndrome_map, p)`` gives each row's products with the basis."""
+        return syndrome_matrix(self.basis, self.p).T.astype(np.float64)
+
+    @cached_property
+    def coset_map(self) -> np.ndarray:
+        """``fm.reduction_map`` of the basis: ``fm.mat_mod(x, coset_map, p)``
+        gives each row's canonical coset representative."""
+        return fm.reduction_map(self.basis, np.argmax(self.basis != 0, axis=1), self.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SympSubspace):
@@ -164,6 +183,7 @@ def is_self_orthogonal(s: SympSubspace) -> bool:
 def symp_dual(s: SympSubspace) -> SympSubspace:
     """The symplectic dual {v : <v, x>_s = 0 for all x in S}."""
     w = syndrome_matrix(s.basis, s.p)
+    # fm.kernel's basis is a row_basis, so RREF as the class requires
     return SympSubspace(s.p, s.n, fm.kernel(w, s.p))
 
 

@@ -61,10 +61,10 @@ class TestEaqeccDistance:
         assert eaqecc_distance(d) is None
 
     def test_weight_classes_over_max_size_refused(self, punctured_pair, monkeypatch):
-        # d = 2 needs the weight-1 and weight-2 classes: 5*3 + 10*9 = 105 vectors
-        monkeypatch.setattr(codes, "ENUM_CAP", 105)
+        # d = 2 needs the weight-0, -1 and -2 classes: 1 + 5*3 + 10*9 = 106 vectors
+        monkeypatch.setattr(codes, "ENUM_CAP", 106)
         assert eaqecc_distance(punctured_pair) == 2
-        monkeypatch.setattr(codes, "ENUM_CAP", 104)
+        monkeypatch.setattr(codes, "ENUM_CAP", 105)
         with pytest.raises(FeasibilityError, match="through weight 2"):
             eaqecc_distance(punctured_pair)
 

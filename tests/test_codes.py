@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from breedsim import codes
+from breedsim import codes, engine, search
 from breedsim import fieldmath as fm
 from breedsim import symplectic as sp
 from breedsim.codes import CodeConstructionError, FeasibilityError, StabilizerCode, min_weight_outside
@@ -59,12 +61,34 @@ def test_five_qubit_distance(five_qubit):
 
 
 def test_min_weight_outside_reads_the_cap_at_call_time(rep642, monkeypatch):
-    # d = 2 needs the weight-1 and weight-2 classes of six qubits: 6*3 + 15*9 = 153 vectors
-    monkeypatch.setattr(codes, "ENUM_CAP", 153)
+    # d = 2 needs the weight-0, -1 and -2 classes of six qubits, counted as
+    # the decoder counts them: 1 + 6*3 + 15*9 = 154 vectors
+    monkeypatch.setattr(codes, "ENUM_CAP", 154)
     assert min_weight_outside(rep642.stab) == (2, 2)
-    monkeypatch.setattr(codes, "ENUM_CAP", 152)
-    with pytest.raises(FeasibilityError, match="153 vectors through weight 2, over cap 152"):
+    monkeypatch.setattr(codes, "ENUM_CAP", 153)
+    with pytest.raises(FeasibilityError, match="154 weight-class vectors through weight 2, over cap 153"):
         min_weight_outside(rep642.stab)
+
+
+def test_min_weight_outside_reduces_with_the_subspace_maps(rep642):
+    # the basis is RREF already: the scan's one rref call is the Gram rank's
+    sub = sp.SympSubspace.from_rows(2, 6, rep642.stab.basis)
+    with mock.patch.object(fm, "rref", wraps=fm.rref) as rref:
+        assert min_weight_outside(sub) == (2, 2)
+    assert rref.call_count == 1
+
+
+def test_size_knobs_are_the_listed_ones():
+    # every module-level integer constant of the numeric modules; a new cap
+    # or block size must be added here on purpose
+    knobs = {
+        name
+        for module in (fm, sp, codes, engine, search)
+        for name, value in vars(module).items()
+        if name.isupper() and isinstance(value, int)
+    }
+    assert knobs == {"MAX_MODULUS", "BLOCK_ENTRIES", "ENUM_CAP", "CHUNK", "FEASIBILITY_CAP", "FLOAT32_EXACT"}
+
 
 class TestSyndrome:
     def test_zero_error(self, rep642):

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -792,14 +793,33 @@ class TestKernelCalls:
         assert decode_calls == [2**dim * (2**m if erasure else 1)]
         assert abs(got.fidelity - exact_reference(spec, channel, PostSelect.parse("none"))[0]) <= 1e-12
 
-    def test_exact_fidelity_refuses_the_largest_erased_subset_before_joining(self, monkeypatch):
-        # erasure 1: one subset of all 5 noisy pairs, whose 4^5 contents the
-        # decoder refuses before it joins anything; 2^(2 dim C) = 16 terms fit the cap
-        spec = convert_pure(StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")]), {5})
-        monkeypatch.setattr(codes, "ENUM_CAP", 4**5 - 1)
-        with pytest.raises(FeasibilityError, match="5 erased positions enumerates 1024"):
-            exact_fidelity(spec, Channel(2, 0.1, erasure=1.0))
-        assert spec.extended_code._classes == []
+    def test_exact_fidelity_refuses_the_largest_erased_subset_before_joining(self, decode_calls, monkeypatch):
+        # erasure 1: one subset of all 5 noisy pairs, with 4^5 contents; erasure
+        # 0.2: all 2^5 subsets, sum C(5, e) 4^e = 5^5 contents. The oracle
+        # refuses them before any decode call, so nothing is joined; the
+        # 2^(2 dim C) = 16 terms per subset fit the cap. Exactly the contents pass
+        for erasure, contents in [(1.0, 4**5), (0.2, 5**5)]:
+            spec = convert_pure(StabilizerCode(2, 6, [v("111111|000000"), v("000000|111111")]), {5})
+            channel = Channel(2, 0.1, erasure=erasure)
+            monkeypatch.setattr(codes, "ENUM_CAP", contents - 1)
+            with pytest.raises(FeasibilityError, match=f"{contents} decoder contents over them, over cap {contents - 1}"):
+                exact_fidelity(spec, channel)
+            assert decode_calls == [] and spec.extended_code._classes == []
+            monkeypatch.setattr(codes, "ENUM_CAP", contents)
+            got = exact_fidelity(spec, channel)
+            assert abs(got.fidelity - exact_reference(spec, channel, PostSelect.parse("none"))[0]) <= 1e-12
+            decode_calls.clear()
+
+    def test_exact_fidelity_counts_the_contents_of_every_erased_subset(self, decode_calls):
+        # [[12,10,2]] with one ebit: 2^11 erased subsets of the 11 noisy pairs
+        # carry sum C(11, e) 4^e = 5^11 contents, over the default cap, though
+        # their 16 * 2^11 leader-stabilizer terms are not
+        spec = convert_pure(StabilizerCode(2, 12, [v("1" * 12 + "|" + "0" * 12), v("0" * 12 + "|" + "1" * 12)]), {11})
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match=f"{5**11} decoder contents"):
+            exact_fidelity(spec, Channel(2, 0.01, erasure=0.1))
+        assert time.perf_counter() - start < 1.0
+        assert decode_calls == []
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -267,13 +267,12 @@ def test_decode_mixes_erased_sets_in_one_batch(case, data):
     mask = erasure_mask([sets[s] for s, _ in pairs], n)
     want = np.asarray([expected[s][key] for s, key in pairs]).reshape(-1, 2 * n)
     # blocks of a few rows split classes, and the sets built in one step, across
-    # blocks; steps of a few rows split the sets that share a class across steps
-    block_rows = data.draw(st.sampled_from([3, 16, None]))
+    # blocks, and split the sets that share a class across decoder chunks,
+    # down to one row a chunk
+    block_rows = data.draw(st.sampled_from([1, 3, 16, None]))
     block_entries = block_rows * 2 * n if block_rows else sp.BLOCK_ENTRIES
-    step_rows = data.draw(st.sampled_from([1, 16, None]))
-    step_entries = step_rows * 2 * n if step_rows else codes.BUILD_ENTRIES
     cold = StabilizerCode(p, n, code.stab.basis)
-    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries), mock.patch.object(codes, "BUILD_ENTRIES", step_entries):
+    with mock.patch.object(sp, "BLOCK_ENTRIES", block_entries):
         assert np.array_equal(cold.decode(batch, mask), want)
     # per-set calls on a fresh code agree with the mixed batch
     per_set = StabilizerCode(p, n, code.stab.basis)
@@ -347,7 +346,7 @@ def test_join_chunks_leave_leaders_unchanged(chunk_rows, monkeypatch):
     mask = erasure_mask([sets[pairs[i][0]] for i in order], n)
     expected = [brute_force_leaders(code, erased) for erased in sets]
     want = np.asarray([expected[pairs[i][0]][pairs[i][1]] for i in order])
-    monkeypatch.setattr(codes, "BUILD_ENTRIES", chunk_rows * 2 * n)
+    monkeypatch.setattr(sp, "BLOCK_ENTRIES", chunk_rows * 2 * n)
     joins, scans = [], []
     join, first_clear = StabilizerCode._join, codes._first_clear
 

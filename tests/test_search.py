@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from breedsim import codes, search
 from breedsim import fieldmath as fm
-from breedsim import search
 from breedsim import symplectic as sp
 from breedsim.codes import FeasibilityError, StabilizerCode
 from breedsim.search import SearchQuery, SearchResult, search_codes
@@ -249,6 +249,15 @@ def test_leaf_filter_in_blocks_of_one_candidate(monkeypatch):
     for params in [(2, 4, 3, 2), (2, 3, 1, 2), (3, 3, 1, 2)]:
         q = SearchQuery(*params)
         assert search_codes(q) == reference_search(q)
+
+
+def test_vector_table_reads_the_cap_at_call_time(monkeypatch):
+    # F_2^6 has 64 vectors
+    monkeypatch.setattr(codes, "ENUM_CAP", 64)
+    assert len(search._VectorTable(2, 3, 2).vectors) == 64
+    monkeypatch.setattr(codes, "ENUM_CAP", 63)
+    with pytest.raises(FeasibilityError, match="vector table of size 2\\^6 exceeds cap 63"):
+        search._VectorTable(2, 3, 2)
 
 
 def test_float32_products_refused_when_inexact():

@@ -252,6 +252,27 @@ def subspaces(draw):
     return sp.SympSubspace.from_rows(p, n, np.reshape(gens, (dim, 2 * n)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(subspaces(), st.sampled_from(["from_rows", "symp_dual", "puncture", "symp_extend"]), st.data())
+def test_cached_maps_match_a_fresh_rref(d, made_by, data):
+    # a subspace from each constructor; its basis must be RREF for the
+    # cached coset map to reduce rows as a fresh rref does
+    if made_by == "symp_dual":
+        s = sp.symp_dual(d)
+    elif made_by == "puncture":
+        s = sp.puncture(d, data.draw(st.sets(st.integers(0, d.n - 1), max_size=d.n - 1)))
+    elif made_by == "symp_extend":
+        s = sp.symp_extend(d)[0]
+    else:
+        s = d
+    p, width = s.p, 2 * s.n
+    rows = np.reshape(data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=3 * width, max_size=3 * width)), (3, width))
+    r, pivots = fm.rref(s.basis, p)
+    assert np.array_equal(fm.mat_mod(rows, s.coset_map, p), fm.reduce_rows(r[: len(pivots)], pivots, rows, p))
+    assert s.syndrome_map.dtype == np.float64
+    assert np.array_equal(s.syndrome_map, sp.syndrome_matrix(s.basis, p).T)
+
+
 @settings(max_examples=300, deadline=None)
 @given(subspaces())
 def test_extend_matches_scalar_loop(d):
