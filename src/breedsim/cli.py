@@ -117,7 +117,7 @@ def cmd_analyze(args, out) -> int:
         "k": code.k,
         "d": code.distance,
         "pure": "yes" if code.is_pure else "no",
-        "dual_dim": code.dual.dim,
+        "dual_dim": code.n + code.k,  # dim C^perp_s = 2n - dim C
         "generators": ",".join(entry.generator_strings),
     }
     _emit([rec], args.format, out)

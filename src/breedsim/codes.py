@@ -300,6 +300,7 @@ class StabilizerCode:
         start = np.searchsorted(lead_set, set_of[open_pairs])
         count = np.searchsorted(lead_set, set_of[open_pairs], side="right") - start
         first = np.cumsum(count) - count
+        mask_bits = mask @ self._mask_words
         for piece in np.split(np.arange(len(open_pairs)), np.flatnonzero(np.diff(first // chunk)) + 1):
             pair = np.repeat(open_pairs[piece], count[piece])
             offset = start[piece] - np.cumsum(count[piece]) + count[piece]
@@ -307,7 +308,7 @@ class StabilizerCode:
             rest = rows[pair] - lead_syn[content]
             rest[rest < 0] += p
             targets = rest @ radix
-            erased_bits = (mask @ self._mask_words)[pair]
+            erased_bits = mask_bits[pair]
             w = 1
             while len(pair):
                 class_keys, class_words, class_bits = self._weight_class(w)
@@ -371,9 +372,9 @@ def check_decoder_work(n: int, p: int, weight: int, erased: int) -> None:
 def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[int, ...]) -> np.ndarray:
     """The erased positions as a boolean mask of shape rows + (n,). ``erased``
     is such a mask, or positions (each in range(n)) that every row shares."""
-    if isinstance(erased, np.ndarray) and erased.dtype == bool:
-        if erased.shape != rows + (n,):
-            raise ValueError(f"erasure mask must have shape {rows + (n,)}")
+    if isinstance(erased, np.ndarray) and (erased.dtype == bool or erased.ndim != 1):
+        if erased.dtype != bool or erased.shape != rows + (n,):
+            raise ValueError(f"erasure mask must be a boolean array of shape {rows + (n,)}")
         return erased
     positions = sorted({int(i) for i in erased})
     if any(i < 0 or i >= n for i in positions):

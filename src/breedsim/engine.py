@@ -50,7 +50,10 @@ class ErrorPattern:
         # a view, so the caller's own array stays writable
         object.__setattr__(self, "error", np.asarray(self.error, dtype=np.int64).view())
         self.error.setflags(write=False)
-        if isinstance(self.erased, np.ndarray) and self.erased.dtype == bool:
+        if isinstance(self.erased, np.ndarray) and (self.erased.dtype == bool or self.erased.ndim != 1):
+            if self.erased.dtype != bool:
+                shape = self.error.shape[:-1] + (self.error.shape[-1] // 2,)
+                raise ValueError(f"erased must be positions or a boolean mask of shape {shape}")
             object.__setattr__(self, "erased", self.erased.view())
             self.erased.setflags(write=False)
         else:

@@ -173,8 +173,8 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def iter_span_batches(basis: np.ndarray, p: int, batch_size: int = 1 << 16):
-    """Yield batches of all p^dim vectors in the row span of basis.
+def iter_span_batches(basis: np.ndarray, p: int, batch_size: int):
+    """Yield all p^dim vectors in the row span of basis, batch_size rows at a time.
 
     Vectors are enumerated in mixed-radix coefficient order (first basis row
     is the most significant digit), which is deterministic and total.
@@ -190,11 +190,3 @@ def iter_span_batches(basis: np.ndarray, p: int, batch_size: int = 1 << 16):
         idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % p
         yield digits @ basis % p
-
-
-def span_elements(basis: np.ndarray, p: int, max_size: int = 1 << 22) -> np.ndarray:
-    """All vectors of the row span as one array; refuses above max_size."""
-    basis = np.asarray(basis, dtype=np.int64)
-    if p ** basis.shape[0] > max_size:
-        raise ValueError(f"span of dimension {basis.shape[0]} over F_{p} exceeds cap {max_size}")
-    return np.vstack(list(iter_span_batches(basis, p)))

@@ -68,19 +68,6 @@ class SearchResult:
     witness: Optional[Tuple[str, ...]] = None
 
 
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.nodes = 0
-        self.exhausted = False
-
-    def spend(self, amount: int) -> bool:
-        self.nodes += amount
-        if self.nodes > self.cap:
-            self.exhausted = True
-        return not self.exhausted
-
-
 def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows (b | -a mod p) in float32, so that <u, v>_s = u . partner(v) mod p.
 
@@ -98,8 +85,8 @@ def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 class _VectorTable:
-    """Every vector of F_p^{2n} as uint8, at its index in ``span_elements``
-    order, with the tables the DFS and the leaf filter read; refused above
+    """Every vector of F_p^{2n} as uint8, at the index its base-p digits
+    spell, with the tables the DFS and the leaf filter read; refused above
     ``codes.ENUM_CAP`` vectors."""
 
     def __init__(self, p: int, n: int, d_min: int):
@@ -108,7 +95,8 @@ class _VectorTable:
         self.p, self.n = p, n
         size = 2 * n
         # index i holds the base-p digits of i, the first coordinate most
-        # significant; written a batch at a time, so no int64 copy of the table
+        # significant; written 2^12 rows at a time, so the int64 batches stay
+        # small beside the uint8 table (block_rows(2n) rows would not)
         self.vectors = np.empty((p**size, size), dtype=np.uint8)
         start = 0
         for batch in fm.iter_span_batches(np.eye(size, dtype=np.int64), p, batch_size=1 << 12):
@@ -352,14 +340,9 @@ class _SiblingGroup:
 
 
 def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
-    """Whether base ** exponent > cap, for base >= 2: exact integer products,
-    at most log2(cap) + 1 of them, so never a float and never a huge integer."""
-    value = 1
-    for _ in range(exponent):
-        value *= base
-        if value > cap:
-            return True
-    return False
+    """Whether base ** exponent > cap, for base >= 2, in exact integers: the
+    exponent stops at cap.bit_length(), where 2 ** it already passes cap."""
+    return base ** min(exponent, cap.bit_length()) > cap
 
 
 def search_codes(q: SearchQuery) -> SearchResult:
@@ -380,7 +363,9 @@ def search_codes(q: SearchQuery) -> SearchResult:
         return SearchResult("not_exists", 0)
     table = _VectorTable(p, n, q.d_min)
     vectors, first_nz = table.vectors, table.first_nz
-    budget = _Budget(q.budget)
+    # nodes counts every child and leaf reached; the first count past the
+    # budget sets exhausted and ends the search
+    nodes, exhausted = 0, False
 
     def validate(rows: List[np.ndarray]) -> Optional[StabilizerCode]:
         code = StabilizerCode(p, n, rows)
@@ -391,42 +376,42 @@ def search_codes(q: SearchQuery) -> SearchResult:
         return code
 
     def last_levels(chosen: np.ndarray, pivots: List[int], basis: np.ndarray, kids: np.ndarray, leaves: np.ndarray):
+        nonlocal nodes, exhausted
         group = _SiblingGroup(table, chosen, pivots, basis, leaves)
         for block in group.blocks(kids):
             block = kids[block]
             # each child costs a node (the zero row stands for none), then its leaves do
             spent = np.column_stack([block != 0, group.leaf_counts(block)]).ravel()
-            total = budget.nodes + np.cumsum(spent)
-            # the first spend past the cap ends the search; children before it are checked
-            stop = int(np.searchsorted(total, budget.cap, side="right"))
-            kid_pos, leaf_pos = group.survivors(block[: stop // 2])
-            for j in sorted(set(kid_pos.tolist())):
+            total = nodes + np.cumsum(spent)
+            # the first spend past the budget ends the search; children before it are checked
+            stop = int(np.searchsorted(total, q.budget, side="right"))
+            for j, c in zip(*group.survivors(block[: stop // 2])):
                 head = list(chosen) + ([vectors[block[j]]] if block[j] else [])
-                for i in leaves[leaf_pos[kid_pos == j]]:
-                    code = validate(head + [vectors[i]])
-                    if code is not None:
-                        budget.nodes = int(total[2 * j + 1])
-                        return tuple(sp.to_string(r) for r in code.stab.basis)
+                code = validate(head + [vectors[leaves[c]]])
+                if code is not None:
+                    nodes = int(total[2 * j + 1])
+                    return tuple(sp.to_string(r) for r in code.stab.basis)
             if stop < len(total):
-                budget.nodes, budget.exhausted = int(total[stop]), True
+                nodes, exhausted = int(total[stop]), True
                 return None
-            budget.nodes = int(total[-1])
+            nodes = int(total[-1])
         return None
 
     def dfs(chosen: np.ndarray, pivots: List[int], basis: np.ndarray) -> Optional[Tuple[str, ...]]:
+        nonlocal nodes, exhausted
         idx = table.candidates(chosen, pivots)
         if len(pivots) == m - 1:  # m = 1: the root's leaves, under no child row
             return last_levels(chosen, pivots, basis, np.zeros(1, dtype=np.int64), idx)
         if len(pivots) == m - 2:
             return last_levels(chosen, pivots, basis, idx, idx)
         for i, below in zip(idx, table.narrowed(basis, idx)):
-            if not budget.spend(1):
+            nodes += 1
+            if nodes > q.budget:
+                exhausted = True
                 return None
             witness = dfs(np.vstack([chosen, vectors[i]]), pivots + [int(first_nz[i])], below)
-            if witness is not None:
+            if witness is not None or exhausted:
                 return witness
-            if budget.exhausted:
-                return None
         return None
 
     try:
@@ -436,7 +421,7 @@ def search_codes(q: SearchQuery) -> SearchResult:
         # so the vector table is freed now instead of at a later gc pass
         dfs = None
     if witness is not None:
-        return SearchResult("exists", budget.nodes, witness)
-    if budget.exhausted:
-        return SearchResult("inconclusive", budget.nodes)
-    return SearchResult("not_exists", budget.nodes)
+        return SearchResult("exists", nodes, witness)
+    if exhausted:
+        return SearchResult("inconclusive", nodes)
+    return SearchResult("not_exists", nodes)

@@ -12,6 +12,9 @@ import breedsim
 from breedsim.cli import main
 
 
+PERFBENCH_CODES = Path(__file__).parent.parent / "perfbench" / "codes"
+
+
 def run_cli(*args):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -39,6 +42,18 @@ class TestAnalyze:
     def test_unknown_name(self):
         code, _ = run_cli("analyze", "--code", "nonesuch")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "ref",
+        breedsim.catalog.builtin_names() + sorted(str(path) for path in PERFBENCH_CODES.glob("*.txt")),
+    )
+    def test_dual_dim_is_the_dual_dimension(self, ref):
+        from breedsim.cli import _load_code
+
+        code = _load_code(ref).code
+        status, out = run_cli("analyze", "--code", ref)
+        assert status == 0
+        assert f" dual_dim={code.dual.dim} " in out and code.n + code.k == code.dual.dim
 
     def test_catalog_file(self, tmp_path):
         path = tmp_path / "one.txt"

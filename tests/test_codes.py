@@ -1,3 +1,5 @@
+import inspect
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -78,16 +80,39 @@ def test_min_weight_outside_reduces_with_the_subspace_maps(rep642):
     assert rref.call_count == 1
 
 
+def size_defaults(module):
+    """Every integer parameter default of at least 1024 in the functions,
+    methods and dataclasses defined in module, as owner.parameter."""
+    found = set()
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for member in members:
+            fn = getattr(member, "__func__", member)  # static and class methods
+            if not inspect.isfunction(fn):
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                value = param.default
+                if isinstance(value, int) and not isinstance(value, bool) and value >= 1024:
+                    found.add(f"{name}.{param.name}")
+    return found
+
+
 def test_size_knobs_are_the_listed_ones():
-    # every module-level integer constant of the numeric modules; a new cap
-    # or block size must be added here on purpose
+    # every module-level integer constant and every large integer parameter
+    # default of the numeric modules; a new cap or block size must be added
+    # here on purpose
+    modules = (fm, sp, codes, engine, search)
     knobs = {
         name
-        for module in (fm, sp, codes, engine, search)
+        for module in modules
         for name, value in vars(module).items()
         if name.isupper() and isinstance(value, int)
     }
     assert knobs == {"MAX_MODULUS", "BLOCK_ENTRIES", "ENUM_CAP", "CHUNK", "FEASIBILITY_CAP", "FLOAT32_EXACT"}
+    defaults = set().union(*map(size_defaults, modules))
+    assert defaults == {"verify_guarantee.max_patterns", "SearchQuery.budget"}
 
 
 class TestSyndrome:
@@ -135,6 +160,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             code.decode((1,))
 
+    def test_non_boolean_mask_refused(self, five_qubit):
+        syndromes = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]])
+        with pytest.raises(ValueError, match=r"boolean array of shape \(3, 5\)"):
+            five_qubit.decode(syndromes, np.zeros((3, 5), dtype=np.int64))
+        # a 1-D integer array still lists positions that every row shares
+        got = five_qubit.decode(syndromes, np.array([0, 2]))
+        assert np.array_equal(got, five_qubit.decode(syndromes, frozenset({0, 2})))
+
     def test_syndrome_keys_beyond_int64_refused(self):
         # 251^8 syndromes overflow int64 keys although a weight-1 decode is under the cap
         code = StabilizerCode(251, 9, np.hstack([np.zeros((8, 9)), np.eye(8, 9)]).astype(np.int64))
@@ -144,7 +177,7 @@ class TestDecode:
     def test_optimality_against_enumeration(self, rep642):
         # every returned leader has minimal weight in its syndrome class
         best = {}
-        for vec in fm.span_elements(np.eye(12, dtype=np.int64), 2):
+        for vec in np.array(list(itertools.product((0, 1), repeat=12))):
             s = rep642.syndrome(vec)
             w = sp.symp_weight(vec)
             if s not in best or w < best[s]:
@@ -169,7 +202,7 @@ class TestLogicalClass:
         rng = np.random.default_rng(1)
         logical = None
         basis, pivots = fm.rref(five_qubit.stab.basis, 2)
-        for vec in fm.span_elements(five_qubit.dual.basis, 2):
+        for vec in np.vstack(list(fm.iter_span_batches(five_qubit.dual.basis, 2, batch_size=64))):
             if fm.reduce_rows(basis, pivots, vec[None, :], 2).any():
                 logical = vec
                 break

@@ -130,6 +130,15 @@ class TestRunProtocol:
             with pytest.raises(ValueError, match="out of range"):
                 run_protocol(breeding_spec, ErrorPattern(errors, frozenset({outside})))
 
+    def test_non_boolean_mask_refused(self, breeding_spec):
+        errors = np.zeros((3, 12), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"boolean mask of shape \(3, 6\)"):
+            ErrorPattern(errors, np.zeros((3, 6), dtype=np.int64))
+        # a 1-D integer array still lists positions that every row shares
+        pattern = ErrorPattern(errors, np.array([0, 2]))
+        assert pattern.erased == frozenset({0, 2})
+        assert run_protocol(breeding_spec, pattern).success.all()
+
     def test_pattern_leaves_the_callers_arrays_writable(self):
         error, mask = np.zeros(4, dtype=np.int64), np.zeros(2, dtype=bool)
         pattern = ErrorPattern(error, mask)

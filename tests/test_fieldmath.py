@@ -151,9 +151,12 @@ def test_solve_inconsistent():
 
 def test_span_enumeration_is_complete():
     basis = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-    elems = fm.span_elements(basis, 2)
-    assert elems.shape == (4, 3)
-    assert len({tuple(r) for r in elems}) == 4
+    for batch_size, lengths in [(1, [1, 1, 1, 1]), (3, [3, 1]), (4, [4]), (5, [4])]:
+        batches = list(fm.iter_span_batches(basis, 2, batch_size))
+        assert [len(b) for b in batches] == lengths
+        elems = np.vstack(batches)
+        assert elems.shape == (4, 3)
+        assert len({tuple(r) for r in elems}) == 4
 
 
 def reduce_rows_per_pivot(basis, pivots, rows, p):

@@ -147,6 +147,14 @@ def test_distance_and_purity_match_brute_force(case):
 
 
 @SETTINGS
+@given(extended_codes())
+def test_dual_dimension_is_n_plus_k(case):
+    # what ``analyze`` prints as dual_dim, without building the dual
+    code = case[0]
+    assert code.n + code.k == code.dual.dim
+
+
+@SETTINGS
 @given(subspaces())
 def test_eaqecc_distance_matches_brute_force(d):
     assume(not sp.is_self_orthogonal(d))

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -119,7 +120,7 @@ def reference_search(q: SearchQuery) -> SearchResult:
     p, n, m = q.p, q.n, q.n - q.k
     if q.k == 0:
         return SearchResult("not_exists", 0)
-    vectors = fm.span_elements(np.eye(2 * n, dtype=np.int64), p)
+    vectors = np.array(list(itertools.product(range(p), repeat=2 * n)), dtype=np.int64)
     nonzero = vectors.any(axis=1)
     first_nz = np.where(nonzero, np.argmax(vectors != 0, axis=1), 2 * n)
     monic = nonzero & (vectors[np.arange(len(vectors)), np.minimum(first_nz, 2 * n - 1)] == 1)
@@ -264,6 +265,27 @@ def test_float32_products_refused_when_inexact():
     # 2n (p - 1)^2 >= 2^24 for n = 135 over F_251
     with pytest.raises(FeasibilityError, match="float32"):
         search._partner_rows(np.zeros((1, 270), dtype=np.int64), 251)
+
+
+@st.composite
+def table_rows(draw):
+    """A vector table over p in {2, 3, 5} and two lists of its vectors, as
+    the uint8 rows the search reads."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    table = search._VectorTable(p, draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p])), 1)
+    picks = st.lists(st.integers(0, len(table.vectors) - 1), max_size=12)
+    return table, table.vectors[draw(picks)], table.vectors[draw(picks)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_rows())
+def test_fast_orthogonality_matches_pairwise_products(case):
+    # the float32 partner-row products and the int64 form products, bit for
+    # bit against the exact symplectic products
+    table, rows, others = case
+    exact = sp.pairwise_products(rows.astype(np.int64), others.astype(np.int64), table.p) == 0
+    assert np.array_equal(table.orthogonal(rows, others), exact)
+    assert np.array_equal(table.orthogonal_to(rows, others.astype(np.int64)), exact.all(axis=1))
 
 
 def carried_basis(table, chosen):
