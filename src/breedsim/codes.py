@@ -11,21 +11,25 @@ positions, ties broken by the lexicographically smallest (a|b) tuple. It
 builds each weight class once per code, over all n positions, sorted by
 (syndrome key, lex rank). The leader of erased set E and syndrome s is y + z:
 y one of the p^(2e) contents on E, z the lex-smallest row of the lowest class
-with the key of s - syn(y) that misses E. A decode call joins every
-(erased set, syndrome) pair its rows lack against the classes at once, and
-the leaders sit in one cache sorted by pair. Each scan counts the class
-vectors it would generate, and the decoder the contents of a call's largest
-erased set (``check_decoder_work``), and raises FeasibilityError before
-generating past ENUM_CAP.
+with the key of s - syn(y) that misses E. With nothing erased that is the
+first row with the key of s in the lowest class that holds it, read off the
+sorted classes by one search per class. A decode call answers the
+(erased set, syndrome) pairs its rows lack on the empty set that way, joins
+the others against the classes at once, and keeps every leader in one cache
+sorted by pair. Each scan counts the class vectors it would generate, and
+the decoder the contents of a call's largest erased set
+(``check_decoder_work``), and raises FeasibilityError before generating past
+ENUM_CAP.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -146,9 +150,12 @@ class StabilizerCode:
         positions that every row shares. Weight is counted only outside a
         row's erased positions, which may carry arbitrary content. Ties go to
         the lexicographically smallest (a|b) tuple. Leaders of every erased
-        set sit in one cache sorted by (erased set, syndrome); a call with
-        pairs not decoded before extends it through one ``_decode_by_coset``
-        call. Refuses a code whose p^dim(C) syndrome keys would overflow int64.
+        set sit in one cache sorted by (erased set, syndrome). A call extends
+        it by the pairs it asks for that were not decoded before: those of the
+        empty set are read off the weight classes (``_unerased_leaders``), and
+        the others are joined by one ``_decode_by_coset`` call, which counts
+        and refuses the largest erased set before any class is built. Refuses
+        a code whose p^dim(C) syndrome keys would overflow int64.
         """
         p, n, m = self.p, self.n, self.stab.dim
         syndromes = fm.reduced(np.asarray(syndromes, dtype=np.int64), p)
@@ -161,7 +168,24 @@ class StabilizerCode:
         keys = self._pair_keys(mask, rows)
         at, cached = _find(self._cache_keys, keys)
         if not cached.all():
-            self._decode_by_coset(keys[~cached], mask[~cached], rows[~cached])
+            # the distinct missing pairs, in key order
+            new = np.flatnonzero(~cached)
+            new = new[np.argsort(keys[new], kind="stable")]
+            new = new[_firsts(keys[new])]
+            on_set = mask[new].any(axis=1)
+            words = np.empty((len(new), self._lex_words.shape[1]), dtype=np.int64)
+            # the joins go first: a call with an erased set over the cap
+            # refuses before any class is built
+            if on_set.any():
+                joined = new[on_set]
+                words[on_set] = self._decode_by_coset(keys[joined], mask[joined], rows[joined])
+            words[~on_set] = self._unerased_leaders(rows[new[~on_set]] @ self._syndrome_radix)
+            # each digit sits in its lex-rank word at its place value
+            place = self._lex_words.max(axis=1)
+            leaders = (words[:, self._lex_words.argmax(axis=1)] // place % p).astype(np.uint8)
+            at = np.searchsorted(self._cache_keys, keys[new])
+            self._cache_keys = np.insert(self._cache_keys, at, keys[new])
+            self._leaders = np.insert(self._leaders, at, leaders, axis=0)
             at = _find(self._cache_keys, keys)[0]
         decoded = self._leaders[at].astype(np.int64)
         return decoded[0] if syndromes.ndim == 1 else decoded
@@ -220,19 +244,32 @@ class StabilizerCode:
             self._classes.append((keys[order], words[order], bits[order]))
         return self._classes[w]
 
-    def _decode_by_coset(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> None:
-        """Extend the leader cache by the pair key of every row (erasure mask
-        row, syndrome row).
+    def _unerased_leaders(self, targets: np.ndarray) -> np.ndarray:
+        """Lex-rank words of the leader of each syndrome key on the empty
+        erased set: the first row with that key in the lowest class that
+        holds it. Classes are sorted by (key, lex rank), so that is one search
+        per class, w = 0, 1, ..., until every key is found."""
+        words = np.empty((len(targets), self._lex_words.shape[1]), dtype=np.int64)
+        pending = np.arange(len(targets))
+        w = 0
+        while len(pending):
+            class_keys, class_words, _ = self._weight_class(w)
+            at, found = _find(class_keys, targets[pending])
+            words[pending[found]] = class_words[at[found]]
+            pending = pending[~found]
+            w += 1
+        return words
 
-        The distinct pairs are led by erased-set size e, in groups of whole
-        erased sets whose p^(2e) contents fit one block (``sp.block_rows``;
-        a larger set alone), and join the cache in one merge. The largest
-        set's p^(2e) contents are counted before any set is joined, and
-        refused above ENUM_CAP.
+    def _decode_by_coset(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Lex-rank words of the leader of each (erased set, syndrome) pair:
+        sorted distinct pair keys of non-empty erased sets, with their mask
+        rows and syndrome rows.
+
+        The pairs are led by erased-set size e, in groups of whole erased sets
+        whose p^(2e) contents fit one block (``sp.block_rows``; a larger set
+        alone). The largest set's p^(2e) contents are counted before any set
+        is joined, and refused above ENUM_CAP.
         """
-        order = np.argsort(keys, kind="stable")
-        order = order[_firsts(keys[order])]
-        keys, mask, rows = keys[order], mask[order], rows[order]
         words = np.empty((len(keys), self._lex_words.shape[1]), dtype=np.int64)
         sizes = np.count_nonzero(mask, axis=1)
         check_decoder_work(self.n, self.p, 0, int(sizes.max()))
@@ -243,12 +280,7 @@ class StabilizerCode:
             per_group = sp.block_rows(2 * self.n * contents)
             for part in np.split(pending, starts[per_group::per_group]):
                 words[part] = self._join(keys[part], mask[part], rows[part], e)
-        # each digit sits in its lex-rank word at its place value
-        place = self._lex_words.max(axis=1)
-        leaders = (words[:, self._lex_words.argmax(axis=1)] // place % self.p).astype(np.uint8)
-        at = np.searchsorted(self._cache_keys, keys)
-        self._cache_keys = np.insert(self._cache_keys, at, keys)
-        self._leaders = np.insert(self._leaders, at, leaders, axis=0)
+        return words
 
     def _join(self, keys: np.ndarray, mask: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
         """Lex-rank words of the leader of each (erased set, syndrome) pair:
@@ -376,12 +408,22 @@ def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[i
         if erased.dtype != bool or erased.shape != rows + (n,):
             raise ValueError(f"erasure mask must be a boolean array of shape {rows + (n,)}")
         return erased
-    positions = sorted({int(i) for i in erased})
+    positions = sorted(erased_positions(erased))
     if any(i < 0 or i >= n for i in positions):
         raise ValueError(f"erased positions out of range for n={n}")
     mask = np.zeros(n, dtype=bool)
     mask[positions] = True
     return np.broadcast_to(mask, rows + (n,))
+
+
+def erased_positions(erased: Iterable[int]) -> FrozenSet[int]:
+    """The erased positions as a set of ints. Each must be a Python or numpy
+    integer: ValueError for any other, so that 1.7 is not read as 1."""
+    positions = list(erased)
+    try:
+        return frozenset(map(operator.index, positions))
+    except TypeError:
+        raise ValueError(f"erased positions must be integers, got {positions!r}") from None
 
 
 def _word_matrix(length: int, base: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from . import codes
 from . import symplectic as sp
 from .breeding import BreedingProtocolSpec
-from .codes import FeasibilityError, LogicalClass, erasure_mask
+from .codes import FeasibilityError, LogicalClass, erased_positions, erasure_mask
 
 #: trials per deterministic chunk; fixed so worker count cannot change results
 CHUNK = 10_000
@@ -57,7 +57,7 @@ class ErrorPattern:
             object.__setattr__(self, "erased", self.erased.view())
             self.erased.setflags(write=False)
         else:
-            object.__setattr__(self, "erased", frozenset(int(i) for i in self.erased))
+            object.__setattr__(self, "erased", erased_positions(self.erased))
 
 
 @dataclass(frozen=True)
@@ -335,24 +335,27 @@ def _sample_chunk(
     rate, er = channel.depolarizing, channel.erasure
     rng = np.random.default_rng((seed, start // CHUNK))
     uniforms = rng.random((stop - start, 2 * m if er > 0.0 else m))
-    live = (uniforms[:, :m] < rate).any(axis=1)
-    if er > 0.0:
-        live |= (uniforms[:, m:] < er).any(axis=1)
+    # one comparison per uniform with its column's rate, kept for the live rows
+    flags = uniforms < (np.repeat([rate, er], m) if er > 0.0 else rate)
+    # an OR of the columns: numpy's any() along a short row is several times slower
+    live = np.zeros(len(flags), dtype=bool)
+    for column in flags.T:
+        live |= column
     rows = np.flatnonzero(live)
     # the dense uniforms are freed before the live rows are built
-    uniforms = uniforms[rows]
-    u = uniforms[:, :m]
-    hit = u < rate
+    uniforms, flags = uniforms.take(rows, axis=0), flags.take(rows, axis=0)
+    u, hit = uniforms[:, :m], flags[:, :m]
     values = np.zeros((len(rows), m), dtype=np.int64)
-    values[hit] = 1 + np.minimum((u[hit] / rate * (q - 1)).astype(np.int64), q - 2)
+    # min(u, rate) is u on a flagged pair and keeps u / rate at most 1 on the
+    # others, so that no quotient overflows or casts out of range
+    if rate > 0.0:
+        values = hit * (1 + np.minimum((np.minimum(u, rate) / rate * (q - 1)).astype(np.int64), q - 2))
     erased = np.zeros((len(rows), m), dtype=bool)
     if er > 0.0:
-        v = uniforms[:, m:]
-        erased = v < er
-        values[erased] = np.minimum((v[erased] / er * q).astype(np.int64), q - 1)
+        v, erased = uniforms[:, m:], flags[:, m:]
+        values = np.where(erased, np.minimum((np.minimum(v, er) / er * q).astype(np.int64), q - 1), values)
     errors = np.zeros((len(rows), 2 * n_total), dtype=np.int64)
-    errors[:, noisy] = values // p
-    errors[:, n_total + noisy] = values % p
+    errors[:, noisy], errors[:, n_total + noisy] = np.divmod(values, p)
     return rows, errors, erased
 
 

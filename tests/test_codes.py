@@ -168,6 +168,16 @@ class TestDecode:
         got = five_qubit.decode(syndromes, np.array([0, 2]))
         assert np.array_equal(got, five_qubit.decode(syndromes, frozenset({0, 2})))
 
+    def test_fractional_positions_refused(self, five_qubit):
+        # 1.7 must not be read as position 1
+        for erased in ([1.7], np.array([1.7, 0.2]), [2.0]):
+            with pytest.raises(ValueError, match="must be integers"):
+                five_qubit.decode((0, 0, 0, 0), erased)
+        # Python and numpy integers of any width are positions
+        want = five_qubit.decode((1, 0, 1, 0), frozenset({0, 2}))
+        for erased in ([0, 2], [np.int64(0), np.uint8(2)], np.array([0, 2], dtype=np.int32)):
+            assert np.array_equal(five_qubit.decode((1, 0, 1, 0), erased), want)
+
     def test_syndrome_keys_beyond_int64_refused(self):
         # 251^8 syndromes overflow int64 keys although a weight-1 decode is under the cap
         code = StabilizerCode(251, 9, np.hstack([np.zeros((8, 9)), np.eye(8, 9)]).astype(np.int64))

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import breedsim
@@ -138,6 +139,15 @@ class TestRunProtocol:
         pattern = ErrorPattern(errors, np.array([0, 2]))
         assert pattern.erased == frozenset({0, 2})
         assert run_protocol(breeding_spec, pattern).success.all()
+
+    def test_fractional_positions_refused(self):
+        # 1.7 and 0.2 must not be read as positions 1 and 0
+        errors = np.zeros((2, 12), dtype=np.int64)
+        for erased in (np.array([1.7, 0.2]), [1.7], (3.0,)):
+            with pytest.raises(ValueError, match="must be integers"):
+                ErrorPattern(errors, erased)
+        for erased in ([0, 2], (np.int64(0), np.uint16(2)), np.array([2, 0], dtype=np.int8)):
+            assert ErrorPattern(errors, erased).erased == frozenset({0, 2})
 
     def test_pattern_leaves_the_callers_arrays_writable(self):
         error, mask = np.zeros(4, dtype=np.int64), np.zeros(2, dtype=bool)
@@ -499,6 +509,20 @@ class TestLiveTrials:
         live = want_errors.any(axis=1) | want_erased.any(axis=1)
         assert rows.tolist() == np.flatnonzero(live).tolist()
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(live_trial_cases())
+    # no depolarizing hit but erased pairs; every pair hit; a rate so small
+    # that a uniform above it, divided by it, would overflow
+    @example((convert_pure(FIVE_CODES[2], {4}), Channel(2, 0.0, 0.3), 5, 0, CHUNK))
+    @example((convert_pure(FIVE_CODES[3], set()), Channel(3, 1.0), 5, CHUNK, 2 * CHUNK))
+    @example((convert_pure(FIVE_CODES[5], {0, 2}), Channel(5, 1.0, 0.3), 5, 0, 1500))
+    @example((convert_pure(FIVE_CODES[5], {0, 2}), Channel(5, 5e-324, 0.3), 5, 0, CHUNK))
+    def test_sampler_raises_no_warning(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, errors, erased = _sample_chunk(*case)
+        assert len(rows) == len(errors) == len(erased)
+
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(live_trial_cases(), st.sampled_from(["none", "nonzero", "weight:0", "weight:1"]))
     def test_chunk_matches_every_trial_through_the_kernel(self, case, policy):
@@ -715,6 +739,25 @@ class TestKernelCalls:
         # syndromes of each of the 2^4 erased subsets
         assert kernel_calls == []
         assert decode_calls == [2**4 * 2**4]
+
+    def test_erasure_free_simulation_makes_no_join(self, decode_calls, monkeypatch):
+        # Steane with no ebit at four rates: four decode calls, each meeting
+        # syndromes the calls before it did not, all on the empty erased set,
+        # so every leader is read off the weight classes with no join
+        joins = []
+        join = StabilizerCode._join
+
+        def join_spy(self, keys, mask, rows, e):
+            joins.append(e)
+            return join(self, keys, mask, rows, e)
+
+        monkeypatch.setattr(StabilizerCode, "_join", join_spy)
+        steane = StabilizerCode(2, 7, [v(g) for g in STEANE])
+        spec = convert_pure(steane, set())
+        for rate in (0.005, 0.01, 0.1, 0.2):
+            simulate(spec, Channel(2, rate), 5000, seed=77)
+        assert len(decode_calls) == 4
+        assert joins == []
 
     @pytest.mark.parametrize("block_rows", [1, 7, 32])
     @pytest.mark.parametrize(

@@ -323,6 +323,44 @@ def test_decode_calls_on_one_code_match_brute_force(case, data):
             assert np.array_equal(one.decode(syndromes[[key for _, key in pairs]].reshape(-1, code.stab.dim), mask), want)
 
 
+@SETTINGS
+@given(extended_codes(), st.data())
+def test_unerased_leaders_match_brute_force(case, data):
+    code = case[0]
+    p, n, m = code.p, code.n, code.stab.dim
+    erased = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    expected, erased_expected = brute_force_leaders(code, frozenset()), brute_force_leaders(code, erased)
+    syndromes = all_syndromes(code)
+    keys = st.lists(st.integers(0, len(syndromes) - 1), min_size=1, max_size=20)
+    pairs = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, len(syndromes) - 1)), min_size=1, max_size=30))
+    mixed = syndromes[[key for _, key in pairs]].reshape(-1, m)
+    mask = erasure_mask([erased if flag else frozenset() for flag, _ in pairs], n)
+    want = np.asarray([erased_expected[key] if flag else expected[key] for flag, key in pairs]).reshape(-1, 2 * n)
+    joins = []
+    join = StabilizerCode._join
+
+    def join_spy(self, keys, mask, rows, e):
+        joins.append(e)
+        return join(self, keys, mask, rows, e)
+
+    # pairs packed into int64 keys, or held as (mask words, key) voids
+    packed = data.draw(st.booleans())
+    with contextlib.nullcontext() if packed else mock.patch.object(StabilizerCode, "_pair_span", None):
+        with mock.patch.object(StabilizerCode, "_join", join_spy):
+            # cold, then warm: a later call repeats some syndromes and meets new ones
+            one = StabilizerCode(p, n, code.stab.basis)
+            assert bool(one._pair_span) == packed
+            for rows in (data.draw(keys), data.draw(keys)):
+                assert np.array_equal(one.decode(syndromes[rows]), expected[rows])
+            assert joins == []
+            # mixed: rows of the empty set next to rows of an erased set, on
+            # the warm code and on a cold one
+            for decoder in (one, StabilizerCode(p, n, code.stab.basis)):
+                assert np.array_equal(decoder.decode(mixed, mask), want)
+            assert np.array_equal(one.decode_table(), expected)
+            assert set(joins) <= {len(erased)}
+
+
 def test_ties_go_to_the_lex_smallest_content_plus_class_row():
     # Z_0 Z_2 and Z_1 Z_2: X_0 (100|000) leads syndrome (1, 0). With qubit 1
     # erased, X_1 X_2 (011|000) ties with it at live weight 1 and is smaller,
@@ -340,9 +378,10 @@ def test_ties_go_to_the_lex_smallest_content_plus_class_row():
 @pytest.mark.parametrize("chunk_rows", [1, 3, 16])
 def test_join_chunks_leave_leaders_unchanged(chunk_rows, monkeypatch):
     # every erased set of at most two of the five qubits, each asked for every
-    # syndrome in one call: a join takes as many whole sets as their 4^e
-    # contents fit the chunk (one at least), lists contents and candidates
-    # about a chunk at a time, and scans class rows a chunk at a time
+    # syndrome in one call: the empty set is read off the classes with no
+    # join; a join takes as many whole sets as their 4^e contents fit the
+    # chunk (one at least), lists contents and candidates about a chunk at a
+    # time, and scans class rows a chunk at a time
     entry = next(e for e in builtin_catalog() if e.name == "five_qubit")
     code = StabilizerCode(entry.code.p, entry.code.n, entry.code.stab.basis)
     n = code.n
@@ -370,7 +409,7 @@ def test_join_chunks_leave_leaders_unchanged(chunk_rows, monkeypatch):
     monkeypatch.setattr(codes, "_first_clear", first_clear_spy)
     assert np.array_equal(code.decode(batch, mask), want)
     steps = []
-    for e, count in ((0, 1), (1, 5), (2, 10)):
+    for e, count in ((1, 5), (2, 10)):
         per_join = max(1, chunk_rows // 4**e)
         steps += [(e, 16 * min(per_join, count - start)) for start in range(0, count, per_join)]
     assert joins == steps
