@@ -4,12 +4,17 @@ Subcommands: analyze, convert, verify, simulate, search, compare.
 Exit codes: 0 success/PASS, 1 validation failure or FAIL, 2 usage,
 3 infeasible-budget refusal. Positions on the command line are 1-based
 (the library itself is 0-based).
+
+Each handler returns its exit status and its records; ``main`` alone prints
+the records, in the chosen --format.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -17,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import catalog as cat
 from . import engine
+from . import symplectic as sp
 from .breeding import BreedingProtocolSpec, convert_pure
 from .codes import CodeConstructionError, FeasibilityError
 from .search import SearchQuery, search_codes
@@ -25,6 +31,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+
+_VERDICTS = {
+    "exists": "EXISTS",
+    "not_exists": "NOT EXISTS (exhaustive)",
+    "inconclusive": "INCONCLUSIVE (budget exhausted)",
+}
 
 
 def _load_code(ref: str) -> cat.CatalogEntry:
@@ -108,7 +120,7 @@ def _emit(records: List[Dict], fmt: str, out) -> None:
             out.write(" ".join(f"{k}={v}" for k, v in rec.items()) + "\n")
 
 
-def cmd_analyze(args, out) -> int:
+def cmd_analyze(args) -> Tuple[int, List[Dict]]:
     entry = _load_code(args.code)
     code = entry.code
     rec = {
@@ -120,11 +132,10 @@ def cmd_analyze(args, out) -> int:
         "dual_dim": code.n + code.k,  # dim C^perp_s = 2n - dim C
         "generators": ",".join(entry.generator_strings),
     }
-    _emit([rec], args.format, out)
-    return EXIT_OK
+    return EXIT_OK, [rec]
 
 
-def cmd_convert(args, out) -> int:
+def cmd_convert(args) -> Tuple[int, List[Dict]]:
     entry, spec = _protocol(args)
     params = spec.params
     rec = {
@@ -136,11 +147,10 @@ def cmd_convert(args, out) -> int:
         "d": params.d,
         "ebit_positions": ",".join(str(i + 1) for i in sorted(spec.ebit_positions)),
     }
-    _emit([rec], args.format, out)
-    return EXIT_OK
+    return EXIT_OK, [rec]
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args) -> Tuple[int, List[Dict]]:
     entry, spec = _protocol(args)
     cert = engine.verify_guarantee(spec, max_patterns=args.budget)
     rec = {
@@ -151,17 +161,14 @@ def cmd_verify(args, out) -> int:
         "result": "PASS" if cert.passed else "FAIL",
     }
     if cert.counterexample is not None:
-        from . import symplectic as sp
-
         rec["counterexample"] = sp.to_string(cert.counterexample.error)
         rec["counterexample_erased"] = ",".join(
             str(i + 1) for i in sorted(cert.counterexample.erased)
         )
-    _emit([rec], args.format, out)
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    return (EXIT_OK if cert.passed else EXIT_FAIL), [rec]
 
 
-def cmd_simulate(args, out) -> int:
+def cmd_simulate(args) -> Tuple[int, List[Dict]]:
     entry, spec = _protocol(args)
     records = []
     for rate in args.rates:
@@ -188,52 +195,33 @@ def cmd_simulate(args, out) -> int:
                 "seed": report.seed,
             }
         )
-    _emit(records, args.format, out)
-    return EXIT_OK
+    return EXIT_OK, records
 
 
-def cmd_search(args, out) -> int:
+def cmd_search(args) -> Tuple[int, List[Dict]]:
     query = SearchQuery(
         p=args.p, n=args.n, k=args.k, d_min=args.dmin, purity_required=args.pure, budget=args.budget
     )
     result = search_codes(query)
-    verdict = {
-        "exists": "EXISTS",
-        "not_exists": "NOT EXISTS (exhaustive)",
-        "inconclusive": "INCONCLUSIVE (budget exhausted)",
-    }[result.verdict]
     rec = {
         "p": args.p,
         "n": args.n,
         "k": args.k,
         "dmin": args.dmin,
-        "verdict": verdict,
+        "verdict": _VERDICTS[result.verdict],
         "nodes": result.nodes,
     }
     if result.witness:
         rec["witness"] = ",".join(result.witness)
-    _emit([rec], args.format, out)
-    return EXIT_OK
+    return EXIT_OK, [rec]
 
 
-def cmd_compare(args, out) -> int:
+def cmd_compare(args) -> Tuple[int, List[Dict]]:
     entries = cat.load_catalog_file(args.catalog) if args.catalog else cat.builtin_catalog()
     rows = cat.compare_report(entries)
-    records = [
-        {
-            "kind": r.kind,
-            "name": r.name,
-            "noisy_pairs": r.noisy_pairs,
-            "preshared": r.preshared,
-            "gross": r.gross,
-            "net": r.net,
-            "d": r.d,
-            "dominant": "yes" if r.dominant else "no",
-        }
-        for r in rows
-    ]
-    _emit(records, args.format, out)
-    return EXIT_OK
+    # the record's keys are ReportRow's fields, in their order
+    records = [{**dataclasses.asdict(r), "dominant": "yes" if r.dominant else "no"} for r in rows]
+    return EXIT_OK, records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,32 +231,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp_):
-        sp_.add_argument("--format", choices=["human", "tsv", "jsonl"], default="human")
-
-    p = sub.add_parser("analyze", help="recompute a code's parameters")
-    p.add_argument("--code", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("convert", help="build a breeding protocol by puncturing a pure code")
-    p.add_argument("--code", required=True)
-    p.add_argument(
+    # each shared option is declared once, on a parent parser
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["human", "tsv", "jsonl"], default="human")
+    code = argparse.ArgumentParser(add_help=False)
+    code.add_argument("--code", required=True)
+    puncture = argparse.ArgumentParser(add_help=False)
+    puncture.add_argument(
         "--puncture", type=_positions, default="", help="comma-separated 1-based positions"
     )
-    add_common(p)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("verify", help="exhaustively verify the 2t+e<d guarantee")
-    p.add_argument("--code", required=True)
-    p.add_argument("--puncture", type=_positions, default="")
-    p.add_argument("--budget", type=_positive_int, default=1_000_000)
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, fmt])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="Monte Carlo fidelity over a depolarizing rate grid")
-    p.add_argument("--code", required=True)
-    p.add_argument("--puncture", type=_positions, default="")
+    command("analyze", cmd_analyze, "recompute a code's parameters", code)
+    command(
+        "convert", cmd_convert, "build a breeding protocol by puncturing a pure code", code, puncture
+    )
+
+    p = command("verify", cmd_verify, "exhaustively verify the 2t+e<d guarantee", code, puncture)
+    max_patterns = inspect.signature(engine.verify_guarantee).parameters["max_patterns"].default
+    p.add_argument("--budget", type=_positive_int, default=max_patterns)
+
+    p = command(
+        "simulate", cmd_simulate, "Monte Carlo fidelity over a depolarizing rate grid", code, puncture
+    )
     p.add_argument("--rates", type=_rates, required=True, help="comma-separated depolarizing rates")
     p.add_argument(
         "--erasure",
@@ -282,23 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--postselect", type=_postselect, default="none", help="none | nonzero | weight:<t>"
     )
     p.add_argument("--workers", type=_positive_int, default=1)
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("search", help="exhaustive code-existence search")
+    p = command("search", cmd_search, "exhaustive code-existence search")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--pure", action="store_true", help="require purity of the witness")
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
-    add_common(p)
-    p.set_defaults(func=cmd_search)
+    p.add_argument("--budget", type=_positive_int, default=SearchQuery.budget)
 
-    p = sub.add_parser("compare", help="hashing-vs-breeding yield table")
+    p = command("compare", cmd_compare, "hashing-vs-breeding yield table")
     p.add_argument("--catalog", default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -313,13 +296,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        status, records = args.func(args)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (cat.CatalogError, CodeConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    _emit(records, args.format, sys.stdout)
+    return status
 
 
 if __name__ == "__main__":

@@ -418,12 +418,15 @@ def erasure_mask(erased: Union[Iterable[int], np.ndarray], n: int, rows: Tuple[i
 
 def erased_positions(erased: Iterable[int]) -> FrozenSet[int]:
     """The erased positions as a set of ints. Each must be a Python or numpy
-    integer: ValueError for any other, so that 1.7 is not read as 1."""
+    integer: ValueError for any other, so that 1.7 is not read as 1 and True
+    (a Python int) is not read as position 1."""
     positions = list(erased)
     try:
-        return frozenset(map(operator.index, positions))
+        if not any(isinstance(i, bool) for i in positions):
+            return frozenset(map(operator.index, positions))
     except TypeError:
-        raise ValueError(f"erased positions must be integers, got {positions!r}") from None
+        pass
+    raise ValueError(f"erased positions must be integers, got {positions!r}")
 
 
 def _word_matrix(length: int, base: int) -> np.ndarray:

@@ -37,6 +37,15 @@ from .codes import FeasibilityError, LogicalClass, erased_positions, erasure_mas
 CHUNK = 10_000
 
 
+def _rows_nonzero(block: np.ndarray) -> np.ndarray:
+    """Per-row flag of a 2-D block: does the row hold a nonzero entry? An OR
+    of the columns, as numpy's any() along a short row is several times slower."""
+    flags = np.zeros(len(block), dtype=bool)
+    for column in block.T:
+        np.logical_or(flags, column, out=flags)
+    return flags
+
+
 @dataclass(frozen=True)
 class ErrorPattern:
     """A symplectic error (one 2n-vector, or a batch of rows) plus what is erased:
@@ -102,7 +111,7 @@ class PostSelect:
     def discards(self, syndromes: np.ndarray, decoded: np.ndarray) -> np.ndarray:
         """Per-row discard flags for syndrome rows and their decoded error rows."""
         if self.mode == "nonzero":
-            return np.any(syndromes, axis=1)
+            return _rows_nonzero(syndromes)
         if self.mode == "weight":
             return sp.symp_weights(decoded) > self.threshold
         return np.zeros(len(syndromes), dtype=bool)
@@ -201,7 +210,7 @@ def run_protocol(
     decoded = code.decode(syn, mask)
     # decoded has the syndrome of errors, so every residual lies in C^perp_s
     logical = code.coset_representatives(errors - decoded)
-    success = ~np.any(logical, axis=1)
+    success = ~_rows_nonzero(logical)
     discarded = postselect.discards(syn, decoded)
     if pattern.error.ndim == 2:
         return ProtocolOutcome(syn, decoded, logical, success, discarded)
@@ -337,11 +346,7 @@ def _sample_chunk(
     uniforms = rng.random((stop - start, 2 * m if er > 0.0 else m))
     # one comparison per uniform with its column's rate, kept for the live rows
     flags = uniforms < (np.repeat([rate, er], m) if er > 0.0 else rate)
-    # an OR of the columns: numpy's any() along a short row is several times slower
-    live = np.zeros(len(flags), dtype=bool)
-    for column in flags.T:
-        live |= column
-    rows = np.flatnonzero(live)
+    rows = np.flatnonzero(_rows_nonzero(flags))
     # the dense uniforms are freed before the live rows are built
     uniforms, flags = uniforms.take(rows, axis=0), flags.take(rows, axis=0)
     u, hit = uniforms[:, :m], flags[:, :m]

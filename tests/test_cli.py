@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -465,3 +466,220 @@ print(codes, "numpy.ma" in sys.modules)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+
+
+# stdout, exit code and stderr of every subcommand in each --format, recorded
+# before the subcommands shared their options through parent parsers
+SIMULATE = ("simulate", "--code", "five_qubit", "--puncture", "5", "--rates", "0.05,0.2",
+            "--trials", "300", "--seed", "3")
+GOLDEN = [
+    pytest.param(("analyze", "--code", "five_qubit"), {
+        'human': (0, 'name=five_qubit n=5 k=1 d=3 pure=yes dual_dim=6 generators=10001|11011,01001|00110,00101|11000,00011|10111\n', ''),
+        'tsv': (0, (
+            'name\tn\tk\td\tpure\tdual_dim\tgenerators\n'
+            'five_qubit\t5\t1\t3\tyes\t6\t10001|11011,01001|00110,00101|11000,00011|10111\n'
+        ), ''),
+        'jsonl': (0, '{"name": "five_qubit", "n": 5, "k": 1, "d": 3, "pure": "yes", "dual_dim": 6, "generators": "10001|11011,01001|00110,00101|11000,00011|10111"}\n', ''),
+    }, id='analyze-builtin'),
+    pytest.param(("analyze", "--code", str(PERFBENCH_CODES / "five_qutrit.txt")), {
+        'human': (0, 'name=five_qutrit n=5 k=1 d=3 pure=yes dual_dim=6 generators=10002|21021,01002|00120,00102|21000,00012|20121\n', ''),
+        'tsv': (0, (
+            'name\tn\tk\td\tpure\tdual_dim\tgenerators\n'
+            'five_qutrit\t5\t1\t3\tyes\t6\t10002|21021,01002|00120,00102|21000,00012|20121\n'
+        ), ''),
+        'jsonl': (0, '{"name": "five_qutrit", "n": 5, "k": 1, "d": 3, "pure": "yes", "dual_dim": 6, "generators": "10002|21021,01002|00120,00102|21000,00012|20121"}\n', ''),
+    }, id='analyze-file'),
+    pytest.param(("convert", "--code", "six_four_two", "--puncture", "6"), {
+        'human': (0, 'name=six_four_two noisy_pairs=5 preshared=1 gross=4 net=3 d=2 ebit_positions=6\n', ''),
+        'tsv': (0, (
+            'name\tnoisy_pairs\tpreshared\tgross\tnet\td\tebit_positions\n'
+            'six_four_two\t5\t1\t4\t3\t2\t6\n'
+        ), ''),
+        'jsonl': (0, '{"name": "six_four_two", "noisy_pairs": 5, "preshared": 1, "gross": 4, "net": 3, "d": 2, "ebit_positions": "6"}\n', ''),
+    }, id='convert'),
+    pytest.param(("verify", "--code", "five_qubit", "--puncture", "5"), {
+        'human': (0, 'name=five_qubit preshared=1 d=3 patterns=79 result=PASS\n', ''),
+        'tsv': (0, (
+            'name\tpreshared\td\tpatterns\tresult\n'
+            'five_qubit\t1\t3\t79\tPASS\n'
+        ), ''),
+        'jsonl': (0, '{"name": "five_qubit", "preshared": 1, "d": 3, "patterns": 79, "result": "PASS"}\n', ''),
+    }, id='verify'),
+    pytest.param(SIMULATE, {
+        'human': (0, (
+            'name=five_qubit rate=0.050000 trials=300 discards=0 fidelity=0.993333 ci95=0.009209 gross=1 net=0 seed=3\n'
+            'name=five_qubit rate=0.200000 trials=300 discards=0 fidelity=0.823333 ci95=0.043158 gross=1 net=0 seed=3\n'
+        ), ''),
+        'tsv': (0, (
+            'name\trate\ttrials\tdiscards\tfidelity\tci95\tgross\tnet\tseed\n'
+            'five_qubit\t0.050000\t300\t0\t0.993333\t0.009209\t1\t0\t3\n'
+            'five_qubit\t0.200000\t300\t0\t0.823333\t0.043158\t1\t0\t3\n'
+        ), ''),
+        'jsonl': (0, (
+            '{"name": "five_qubit", "rate": "0.050000", "trials": 300, "discards": 0, "fidelity": "0.993333", "ci95": "0.009209", "gross": 1, "net": 0, "seed": 3}\n'
+            '{"name": "five_qubit", "rate": "0.200000", "trials": 300, "discards": 0, "fidelity": "0.823333", "ci95": "0.043158", "gross": 1, "net": 0, "seed": 3}\n'
+        ), ''),
+    }, id='simulate'),
+    pytest.param((*SIMULATE, "--erasure", "0.1"), {
+        'human': (0, (
+            'name=five_qubit rate=0.050000 erasure=0.100000 trials=300 discards=0 fidelity=0.923333 ci95=0.030108 gross=1 net=0 seed=3\n'
+            'name=five_qubit rate=0.200000 erasure=0.100000 trials=300 discards=0 fidelity=0.726667 ci95=0.050432 gross=1 net=0 seed=3\n'
+        ), ''),
+        'tsv': (0, (
+            'name\trate\terasure\ttrials\tdiscards\tfidelity\tci95\tgross\tnet\tseed\n'
+            'five_qubit\t0.050000\t0.100000\t300\t0\t0.923333\t0.030108\t1\t0\t3\n'
+            'five_qubit\t0.200000\t0.100000\t300\t0\t0.726667\t0.050432\t1\t0\t3\n'
+        ), ''),
+        'jsonl': (0, (
+            '{"name": "five_qubit", "rate": "0.050000", "erasure": "0.100000", "trials": 300, "discards": 0, "fidelity": "0.923333", "ci95": "0.030108", "gross": 1, "net": 0, "seed": 3}\n'
+            '{"name": "five_qubit", "rate": "0.200000", "erasure": "0.100000", "trials": 300, "discards": 0, "fidelity": "0.726667", "ci95": "0.050432", "gross": 1, "net": 0, "seed": 3}\n'
+        ), ''),
+    }, id='simulate-erasure'),
+    pytest.param((*SIMULATE, "--postselect", "nonzero"), {
+        'human': (0, (
+            'name=five_qubit rate=0.050000 trials=300 discards=53 fidelity=1.000000 ci95=0.000000 gross=1 net=0 seed=3\n'
+            'name=five_qubit rate=0.200000 trials=300 discards=184 fidelity=1.000000 ci95=0.000000 gross=1 net=0 seed=3\n'
+        ), ''),
+        'tsv': (0, (
+            'name\trate\ttrials\tdiscards\tfidelity\tci95\tgross\tnet\tseed\n'
+            'five_qubit\t0.050000\t300\t53\t1.000000\t0.000000\t1\t0\t3\n'
+            'five_qubit\t0.200000\t300\t184\t1.000000\t0.000000\t1\t0\t3\n'
+        ), ''),
+        'jsonl': (0, (
+            '{"name": "five_qubit", "rate": "0.050000", "trials": 300, "discards": 53, "fidelity": "1.000000", "ci95": "0.000000", "gross": 1, "net": 0, "seed": 3}\n'
+            '{"name": "five_qubit", "rate": "0.200000", "trials": 300, "discards": 184, "fidelity": "1.000000", "ci95": "0.000000", "gross": 1, "net": 0, "seed": 3}\n'
+        ), ''),
+    }, id='simulate-postselect'),
+    pytest.param((*SIMULATE, "--erasure", "0.1", "--postselect", "weight:1"), {
+        'human': (0, (
+            'name=five_qubit rate=0.050000 erasure=0.100000 trials=300 discards=15 fidelity=0.929825 ci95=0.029657 gross=1 net=0 seed=3\n'
+            'name=five_qubit rate=0.200000 erasure=0.100000 trials=300 discards=34 fidelity=0.763158 ci95=0.051092 gross=1 net=0 seed=3\n'
+        ), ''),
+        'tsv': (0, (
+            'name\trate\terasure\ttrials\tdiscards\tfidelity\tci95\tgross\tnet\tseed\n'
+            'five_qubit\t0.050000\t0.100000\t300\t15\t0.929825\t0.029657\t1\t0\t3\n'
+            'five_qubit\t0.200000\t0.100000\t300\t34\t0.763158\t0.051092\t1\t0\t3\n'
+        ), ''),
+        'jsonl': (0, (
+            '{"name": "five_qubit", "rate": "0.050000", "erasure": "0.100000", "trials": 300, "discards": 15, "fidelity": "0.929825", "ci95": "0.029657", "gross": 1, "net": 0, "seed": 3}\n'
+            '{"name": "five_qubit", "rate": "0.200000", "erasure": "0.100000", "trials": 300, "discards": 34, "fidelity": "0.763158", "ci95": "0.051092", "gross": 1, "net": 0, "seed": 3}\n'
+        ), ''),
+    }, id='simulate-erasure-postselect'),
+    pytest.param(("search", "--p", "2", "--n", "5", "--k", "3", "--dmin", "2"), {
+        'human': (0, 'p=2 n=5 k=3 dmin=2 verdict=NOT EXISTS (exhaustive) nodes=87978\n', ''),
+        'tsv': (0, (
+            'p\tn\tk\tdmin\tverdict\tnodes\n'
+            '2\t5\t3\t2\tNOT EXISTS (exhaustive)\t87978\n'
+        ), ''),
+        'jsonl': (0, '{"p": 2, "n": 5, "k": 3, "dmin": 2, "verdict": "NOT EXISTS (exhaustive)", "nodes": 87978}\n', ''),
+    }, id='search-not-exists'),
+    pytest.param(("search", "--p", "2", "--n", "4", "--k", "2", "--dmin", "2"), {
+        'human': (0, 'p=2 n=4 k=2 dmin=2 verdict=EXISTS nodes=1934 witness=1000|0111,0111|1000\n', ''),
+        'tsv': (0, (
+            'p\tn\tk\tdmin\tverdict\tnodes\twitness\n'
+            '2\t4\t2\t2\tEXISTS\t1934\t1000|0111,0111|1000\n'
+        ), ''),
+        'jsonl': (0, '{"p": 2, "n": 4, "k": 2, "dmin": 2, "verdict": "EXISTS", "nodes": 1934, "witness": "1000|0111,0111|1000"}\n', ''),
+    }, id='search-exists'),
+    pytest.param(("search", "--p", "2", "--n", "6", "--k", "4", "--dmin", "2", "--budget", "10"), {
+        'human': (0, 'p=2 n=6 k=4 dmin=2 verdict=INCONCLUSIVE (budget exhausted) nodes=11\n', ''),
+        'tsv': (0, (
+            'p\tn\tk\tdmin\tverdict\tnodes\n'
+            '2\t6\t4\t2\tINCONCLUSIVE (budget exhausted)\t11\n'
+        ), ''),
+        'jsonl': (0, '{"p": 2, "n": 6, "k": 4, "dmin": 2, "verdict": "INCONCLUSIVE (budget exhausted)", "nodes": 11}\n', ''),
+    }, id='search-inconclusive'),
+    pytest.param(("compare",), {
+        'human': (0, (
+            'kind=hashing name=six_four_two noisy_pairs=6 preshared=0 gross=4 net=4 d=2 dominant=no\n'
+            'kind=breeding name=six_four_two noisy_pairs=5 preshared=1 gross=4 net=3 d=2 dominant=yes\n'
+            'kind=hashing name=five_qubit noisy_pairs=5 preshared=0 gross=1 net=1 d=3 dominant=no\n'
+            'kind=breeding name=five_qubit noisy_pairs=4 preshared=1 gross=1 net=0 d=3 dominant=yes\n'
+            'kind=breeding name=five_qubit noisy_pairs=3 preshared=2 gross=1 net=-1 d=3 dominant=yes\n'
+            'kind=hashing name=four_two_two noisy_pairs=4 preshared=0 gross=2 net=2 d=2 dominant=no\n'
+            'kind=breeding name=four_two_two noisy_pairs=3 preshared=1 gross=2 net=1 d=2 dominant=yes\n'
+        ), ''),
+        'tsv': (0, (
+            'kind\tname\tnoisy_pairs\tpreshared\tgross\tnet\td\tdominant\n'
+            'hashing\tsix_four_two\t6\t0\t4\t4\t2\tno\n'
+            'breeding\tsix_four_two\t5\t1\t4\t3\t2\tyes\n'
+            'hashing\tfive_qubit\t5\t0\t1\t1\t3\tno\n'
+            'breeding\tfive_qubit\t4\t1\t1\t0\t3\tyes\n'
+            'breeding\tfive_qubit\t3\t2\t1\t-1\t3\tyes\n'
+            'hashing\tfour_two_two\t4\t0\t2\t2\t2\tno\n'
+            'breeding\tfour_two_two\t3\t1\t2\t1\t2\tyes\n'
+        ), ''),
+        'jsonl': (0, (
+            '{"kind": "hashing", "name": "six_four_two", "noisy_pairs": 6, "preshared": 0, "gross": 4, "net": 4, "d": 2, "dominant": "no"}\n'
+            '{"kind": "breeding", "name": "six_four_two", "noisy_pairs": 5, "preshared": 1, "gross": 4, "net": 3, "d": 2, "dominant": "yes"}\n'
+            '{"kind": "hashing", "name": "five_qubit", "noisy_pairs": 5, "preshared": 0, "gross": 1, "net": 1, "d": 3, "dominant": "no"}\n'
+            '{"kind": "breeding", "name": "five_qubit", "noisy_pairs": 4, "preshared": 1, "gross": 1, "net": 0, "d": 3, "dominant": "yes"}\n'
+            '{"kind": "breeding", "name": "five_qubit", "noisy_pairs": 3, "preshared": 2, "gross": 1, "net": -1, "d": 3, "dominant": "yes"}\n'
+            '{"kind": "hashing", "name": "four_two_two", "noisy_pairs": 4, "preshared": 0, "gross": 2, "net": 2, "d": 2, "dominant": "no"}\n'
+            '{"kind": "breeding", "name": "four_two_two", "noisy_pairs": 3, "preshared": 1, "gross": 2, "net": 1, "d": 2, "dominant": "yes"}\n'
+        ), ''),
+    }, id='compare'),
+    pytest.param(("analyze", "--code", "nope"), {
+        'human': (1, '', "error: 'nope' is neither a builtin code (six_four_two, five_qubit, four_two_two) nor a file\n"),
+        'tsv': (1, '', "error: 'nope' is neither a builtin code (six_four_two, five_qubit, four_two_two) nor a file\n"),
+        'jsonl': (1, '', "error: 'nope' is neither a builtin code (six_four_two, five_qubit, four_two_two) nor a file\n"),
+    }, id='unknown-code'),
+    pytest.param(("search", "--p", "2", "--n", "8", "--k", "3", "--dmin", "3"), {
+        'human': (3, '', 'error: projected node bound (2^16)^5 exceeds 100000000\n'),
+        'tsv': (3, '', 'error: projected node bound (2^16)^5 exceeds 100000000\n'),
+        'jsonl': (3, '', 'error: projected node bound (2^16)^5 exceeds 100000000\n'),
+    }, id='search-infeasible'),
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "tsv", "jsonl"])
+@pytest.mark.parametrize("argv, want", GOLDEN)
+def test_golden_output(argv, want, fmt, capsys):
+    code = main([*argv, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == want[fmt]
+
+
+# verify of five_qubit with its distance overstated as 4, which prints a counterexample
+GOLDEN_COUNTEREXAMPLE = {
+    'human': (1, 'name=five_qubit preshared=0 d=4 patterns=33 result=FAIL counterexample=01000|10000 counterexample_erased=1\n', ''),
+    'tsv': (1, (
+        'name\tpreshared\td\tpatterns\tresult\tcounterexample\tcounterexample_erased\n'
+        'five_qubit\t0\t4\t33\tFAIL\t01000|10000\t1\n'
+    ), ''),
+    'jsonl': (1, '{"name": "five_qubit", "preshared": 0, "d": 4, "patterns": 33, "result": "FAIL", "counterexample": "01000|10000", "counterexample_erased": "1"}\n', ''),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "tsv", "jsonl"])
+def test_golden_verify_counterexample(fmt, monkeypatch, capsys):
+    from breedsim import cli
+    from breedsim.breeding import BreedingProtocolSpec, EaqeccParams
+
+    def overstated(code, ebits):
+        return BreedingProtocolSpec(code, frozenset(), EaqeccParams(p=code.p, n=code.n, gross_k=code.k, c=0, d=4))
+
+    monkeypatch.setattr(cli, "convert_pure", overstated)
+    code = main(["verify", "--code", "five_qubit", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == GOLDEN_COUNTEREXAMPLE[fmt]
+
+
+@pytest.mark.parametrize("command", ["analyze", "convert", "verify", "simulate", "search", "compare"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: breedsim {command} ")
+
+
+def test_budget_defaults_are_the_library_defaults():
+    from breedsim import cli
+    from breedsim.engine import verify_guarantee
+    from breedsim.search import SearchQuery
+
+    parser = cli.build_parser()
+    max_patterns = inspect.signature(verify_guarantee).parameters["max_patterns"].default
+    assert parser.parse_args(["verify", "--code", "five_qubit"]).budget == max_patterns
+    search = parser.parse_args(["search", "--p", "2", "--n", "4", "--k", "2", "--dmin", "2"])
+    assert search.budget == SearchQuery.budget

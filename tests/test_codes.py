@@ -178,6 +178,16 @@ class TestDecode:
         for erased in ([0, 2], [np.int64(0), np.uint8(2)], np.array([0, 2], dtype=np.int32)):
             assert np.array_equal(five_qubit.decode((1, 0, 1, 0), erased), want)
 
+    def test_python_bools_refused(self, five_qubit):
+        # True is an int: [True, False, ...] must not be read as positions 1 and 0
+        for erased in ([True, False, False, False, False], [True], (False, 2)):
+            with pytest.raises(ValueError, match="must be integers"):
+                five_qubit.decode((0, 1, 0, 0), erased)
+        # a 1-D boolean array of the same flags stays a mask
+        mask = np.array([True, False, False, False, False])
+        want = five_qubit.decode((0, 1, 0, 0), frozenset({0}))
+        assert np.array_equal(five_qubit.decode((0, 1, 0, 0), mask), want)
+
     def test_syndrome_keys_beyond_int64_refused(self):
         # 251^8 syndromes overflow int64 keys although a weight-1 decode is under the cap
         code = StabilizerCode(251, 9, np.hstack([np.zeros((8, 9)), np.eye(8, 9)]).astype(np.int64))

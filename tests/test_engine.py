@@ -149,6 +149,16 @@ class TestRunProtocol:
         for erased in ([0, 2], (np.int64(0), np.uint16(2)), np.array([2, 0], dtype=np.int8)):
             assert ErrorPattern(errors, erased).erased == frozenset({0, 2})
 
+    def test_python_bools_refused(self):
+        # True is an int: [True, True] must not be read as position 1
+        errors = np.zeros(10, dtype=np.int64)
+        for erased in ([True, True], [True, False, False, False, False]):
+            with pytest.raises(ValueError, match="must be integers"):
+                ErrorPattern(errors, erased)
+        # a 1-D boolean array of the same flags stays a mask
+        mask = np.array([True, False, False, False, False])
+        assert ErrorPattern(errors, mask).erased.tolist() == mask.tolist()
+
     def test_pattern_leaves_the_callers_arrays_writable(self):
         error, mask = np.zeros(4, dtype=np.int64), np.zeros(2, dtype=bool)
         pattern = ErrorPattern(error, mask)
@@ -899,6 +909,15 @@ def test_postselect_parsing():
     assert weight.mode == "weight" and weight.threshold == 2
     with pytest.raises(ValueError):
         PostSelect.parse("sometimes")
+
+
+def test_nonzero_discards_every_row_with_a_syndrome():
+    # the discard flags are np.any along each row, for any row width
+    rng = np.random.default_rng(5)
+    for shape in [(0, 3), (7, 0), (50, 1), (200, 4), (31, 40)]:
+        syndromes = rng.integers(0, 3, shape) * (rng.random(shape) < 0.2)
+        got = PostSelect("nonzero").discards(syndromes, syndromes)
+        assert got.dtype == bool and np.array_equal(got, np.any(syndromes, axis=1))
 
 
 def test_channel_validation():
