@@ -181,7 +181,7 @@ def _check_pattern(spec: BreedingProtocolSpec, pattern: ErrorPattern) -> np.ndar
     mask = erasure_mask(pattern.erased, n, err.shape[:-1]).reshape(-1, n)
     if not spec.ebit_positions:
         return mask
-    ebits = np.fromiter(spec.ebit_positions, dtype=np.int64)
+    ebits = np.array(sorted(spec.ebit_positions), dtype=np.int64)
     # per ebit: whether any row is nonzero in its a or its b column
     columns = err.reshape(-1, 2 * n)[:, np.concatenate([ebits, n + ebits])]
     carries = columns.any(axis=0).reshape(2, -1).any(axis=0)

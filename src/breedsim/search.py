@@ -38,8 +38,6 @@ from .codes import FeasibilityError, StabilizerCode
 
 #: refusal threshold for the naive pre-pruning node bound (p^{2n})^{n-k}
 FEASIBILITY_CAP = 10**8
-#: float32 represents every integer below this exactly
-FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,10 @@ def _partner_rows(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows (b | -a mod p) in float32, so that <u, v>_s = u . partner(v) mod p.
 
     Each such dot product is an integer of at most 2n (p - 1)^2, and float32
-    adds integers below 2^24 exactly; refuses a length where that fails.
+    adds integers below 2^24 exactly: a table within ``codes.ENUM_CAP`` keeps
+    it at most 125 000, at n = 1 over F_251 (test_float32_sums_exact_under_the_cap).
     """
     n = rows.shape[1] // 2
-    if rows.shape[1] * (p - 1) ** 2 >= FLOAT32_EXACT:
-        raise FeasibilityError(
-            f"symplectic products over F_{p}^{2 * n} can reach {FLOAT32_EXACT} "
-            "and are not exact in float32"
-        )
     # p - a, not -a: a uint8 negation wraps
     return np.hstack([rows[:, n:], (p - rows[:, :n]) % p]).astype(np.float32)
 

@@ -214,11 +214,12 @@ def symp_extend(d: SympSubspace) -> Tuple[SympSubspace, int]:
     gets one fresh position that cancels the pair's product. Returns
     (C_ext, c) with C_ext self-orthogonal on n + c positions, dim C_ext =
     dim D, and puncturing the appended positions giving back D.
-    c = rank(gram(D)) / 2, the minimum possible.
+    c = rank(gram(D)) / 2, the minimum possible. Proved once, not per call, by
+    tests/test_symplectic.py::test_extend_is_a_minimal_self_orthogonal_lift.
     """
     p, n = d.p, d.n
     vecs, pairs = d.basis, []
-    g = gram_d = gram(d)
+    g = gram(d)
     # the first hit in row order has i < j: g is alternating, so a hit (i, j)
     # with j < i would put (j, i) in an earlier row
     while len(hits := np.argwhere(g)):
@@ -231,11 +232,6 @@ def symp_extend(d: SympSubspace) -> Tuple[SympSubspace, int]:
         pairs += [u, v]
         g = pairwise_products(vecs, vecs, p)
     c = len(pairs) // 2
-    gram_rank = fm.rank(gram_d, p)
-    if gram_rank != 2 * c:
-        raise AssertionError(
-            f"alternating Gram matrix has odd-looking rank {gram_rank} vs {2 * c} pair slots"
-        )
     nn = n + c
     lifted = np.vstack([*pairs, vecs])
     rows = np.zeros((len(lifted), 2 * nn), dtype=np.int64)
@@ -244,7 +240,4 @@ def symp_extend(d: SympSubspace) -> Tuple[SympSubspace, int]:
     # cancels the pair's product +1
     rows[np.arange(0, 2 * c, 2), np.arange(n, nn)] = 1
     rows[np.arange(1, 2 * c, 2), np.arange(nn + n, 2 * nn)] = p - 1
-    ext = SympSubspace.from_rows(p, nn, rows)
-    if ext.dim != d.dim or not is_self_orthogonal(ext) or puncture(ext, range(n, nn)) != d:
-        raise AssertionError("symplectic extension is not a self-orthogonal lift of D")
-    return ext, c
+    return SympSubspace.from_rows(p, nn, rows), c

@@ -1,7 +1,10 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from breedsim import codes
+from breedsim import catalog, codes
 from breedsim import symplectic as sp
 from breedsim.breeding import (
     build_from_subspace,
@@ -46,6 +49,45 @@ class TestEbitCount:
             for _ in range(50):
                 d = sp.SympSubspace.from_rows(p, 3, rng.integers(0, p, size=(2, 6)))
                 assert (ebit_count(d) == 0) == sp.is_self_orthogonal(d)
+
+
+PERFBENCH_CODES = Path(__file__).parent.parent / "perfbench" / "codes"
+
+
+def five_qudit_code():
+    """[[5,1,3]]_5 from the cyclic shifts of X Z Z^-1 X^-1 I."""
+    x, z = np.array([1, 0, 0, 4, 0]), np.array([0, 1, 4, 0, 0])
+    return StabilizerCode(5, 5, [np.concatenate([np.roll(x, s), np.roll(z, s)]) for s in range(4)])
+
+
+def ebit_formula_sets(code):
+    """Check that puncturing a pure code at each P with |P| < d needs |P|
+    ebits, rank(gram)/2, as convert_pure's c says; returns the sets checked."""
+    sets = 0
+    for size in range(code.distance):
+        for punctured in itertools.combinations(range(code.n), size):
+            assert ebit_count(sp.puncture(code.stab, punctured)) == size, punctured
+            assert convert_pure(code, punctured).params.c == size
+            sets += 1
+    return sets
+
+
+class TestEbitFormula:
+    """convert_pure takes c = |P| on trust; these prove it equals the
+    optimal-entanglement count rank(gram)/2 of the punctured subspace."""
+
+    def test_catalog_codes(self):
+        entries = catalog.builtin_catalog()
+        for path in sorted(PERFBENCH_CODES.glob("*.txt")):
+            entries += catalog.load_catalog_file(str(path))
+        pure = [entry.code for entry in entries if entry.code.is_pure]
+        assert {code.p for code in pure} == {2, 3}
+        assert sum(map(ebit_formula_sets, pure)) == 250
+
+    def test_five_qudit_code(self):
+        code = five_qudit_code()
+        assert (code.k, code.distance, code.is_pure) == (1, 3, True)
+        assert ebit_formula_sets(code) == 1 + 5 + 10
 
 
 class TestEaqeccDistance:

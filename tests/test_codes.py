@@ -110,7 +110,7 @@ def test_size_knobs_are_the_listed_ones():
         for name, value in vars(module).items()
         if name.isupper() and isinstance(value, int)
     }
-    assert knobs == {"MAX_MODULUS", "BLOCK_ENTRIES", "ENUM_CAP", "CHUNK", "FEASIBILITY_CAP", "FLOAT32_EXACT"}
+    assert knobs == {"MAX_MODULUS", "BLOCK_ENTRIES", "ENUM_CAP", "CHUNK", "FEASIBILITY_CAP"}
     defaults = set().union(*map(size_defaults, modules))
     assert defaults == {"verify_guarantee.max_patterns", "SearchQuery.budget"}
 

@@ -184,6 +184,18 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="position 2 cannot be erased"):
             run_protocol(spec, ErrorPattern(errors, frozenset({0, 2})))
 
+    def test_lowest_bad_ebit_is_named(self):
+        # ebits {6, 7, 8, 9}, which a frozenset walks as 8, 9, 6, 7
+        code = five_qubit_copies(2)
+        spec = BreedingProtocolSpec(code, frozenset({6, 7, 8, 9}), EaqeccParams(p=2, n=6, gross_k=2, c=4, d=3))
+        error = np.zeros(20, dtype=np.int64)
+        error[[6, 8]] = 1
+        with pytest.raises(ValueError, match="position 6 cannot carry an error"):
+            run_protocol(spec, ErrorPattern(error))
+        error[6] = 0
+        with pytest.raises(ValueError, match="position 6 cannot be erased"):
+            run_protocol(spec, ErrorPattern(error, frozenset({6})))
+
 
 class TestVerifyGuarantee:
     def test_worked_example_sixteen_patterns(self, breeding_spec):

@@ -194,6 +194,19 @@ def test_budget_runs_out_on_the_leaves_of_an_n_minus_k_1_search(params):
         assert search_codes(q) == reference_search(q), budget
 
 
+@pytest.mark.parametrize(
+    "budget, result",
+    [(SearchQuery.budget, SearchResult("not_exists", 17_085)),
+     *((budget, SearchResult("inconclusive", budget + 1)) for budget in (1, 3, 4, 9, 12))],
+)
+def test_inner_dfs_levels(budget, result):
+    # n - k = 3 puts one DFS level above the sibling groups, and no [[4,1,3]]
+    # code exists: every inner level ends without a witness, and the small
+    # budgets run out on an inner node
+    q = SearchQuery(2, 4, 1, 3, budget=budget)
+    assert search_codes(q) == reference_search(q) == result
+
+
 @pytest.mark.parametrize("params", [(3, 3, 1, 2), (2, 4, 2, 2)])
 def test_budget_runs_out_inside_sibling_groups(params):
     # the witness's node count less one runs out on the leaves of its own child
@@ -261,10 +274,21 @@ def test_vector_table_reads_the_cap_at_call_time(monkeypatch):
         search._VectorTable(2, 3, 2)
 
 
-def test_float32_products_refused_when_inexact():
-    # 2n (p - 1)^2 >= 2^24 for n = 135 over F_251
-    with pytest.raises(FeasibilityError, match="float32"):
-        search._partner_rows(np.zeros((1, 270), dtype=np.int64), 251)
+def test_float32_sums_exact_under_the_cap():
+    # float32 holds every integer below 2^24. Over each prime field, the
+    # longest vectors a table admits keep a symplectic product's 2n (p - 1)^2
+    # below it, and ENUM_CAP bounds orthogonal_weight's sums of at most
+    # p^{2n} row weights
+    assert codes.ENUM_CAP < 1 << 24
+    peak = 0
+    for p in filter(fm.is_prime, range(2, fm.MAX_MODULUS + 1)):
+        n = 1
+        while p ** (2 * (n + 1)) <= codes.ENUM_CAP:
+            n += 1
+        with pytest.raises(FeasibilityError, match="exceeds cap"):
+            search._VectorTable(p, n + 1, 1)
+        peak = max(peak, 2 * n * (p - 1) ** 2)
+    assert peak == 125_000 < 1 << 24
 
 
 @st.composite

@@ -281,3 +281,16 @@ def test_extend_matches_scalar_loop(d):
     assert c == want_c
     assert ext.n == want.n and ext.basis.dtype == want.basis.dtype
     assert np.array_equal(ext.basis, want.basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspaces())
+def test_extend_is_a_minimal_self_orthogonal_lift(d):
+    # what symp_extend does not re-check per call: c = rank(gram)/2, the
+    # least possible; the lift keeps D's dimension, is self-orthogonal and
+    # punctures back to D
+    ext, c = sp.symp_extend(d)
+    assert fm.rank(sp.gram(d), d.p) == 2 * c
+    assert ext.n == d.n + c and ext.dim == d.dim
+    assert sp.is_self_orthogonal(ext)
+    assert sp.puncture(ext, range(d.n, d.n + c)) == d
